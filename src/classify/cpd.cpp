@@ -1,6 +1,7 @@
 #include "classify/cpd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -95,34 +96,43 @@ CpdClassState CpdModel::initial_state() const {
   return state;
 }
 
-void CpdModel::advance(std::size_t side, CpdSideState& state, double x) const {
-  double inc = 0.0;
+double CpdModel::llr(double x) const {
+  const auto& clf = *classifier_;
+  return clf.density(1).log_pdf(x) - clf.density(0).log_pdf(x);
+}
+
+double CpdModel::increment(std::size_t side, CpdSideState& state,
+                           double x) const {
   if (config_.kind == CpdKind::kCusum) {
-    const auto& clf = *classifier_;
-    const double llr = clf.density(1).log_pdf(x) - clf.density(0).log_pdf(x);
-    inc = side == kSideHigh ? llr : -llr;
-  } else {
-    const auto& params = ewma_[side];
-    const double mu = state.mean;
-    const double delta = params.drift * mu;  // presumed post-change shift
-    inc = (delta / params.var) * (x - mu - 0.5 * delta);
-    state.mean = config_.ewma_beta * mu + (1.0 - config_.ewma_beta) * x;
+    const double inc = llr(x);
+    return side == kSideHigh ? inc : -inc;
   }
-  state.g = std::max(0.0, state.g + inc);
+  const auto& params = ewma_[side];
+  const double mu = state.mean;
+  const double delta = params.drift * mu;  // presumed post-change shift
+  state.mean = config_.ewma_beta * mu + (1.0 - config_.ewma_beta) * x;
+  return (delta / params.var) * (x - mu - 0.5 * delta);
 }
 
 void CpdModel::update(CpdClassState& state, double x) const {
   ++state.n;
-  const auto step = [&](std::size_t side, CpdSideState& s) {
-    advance(side, s, x);
+  const auto step = [&](CpdSideState& s, double inc) {
+    s.g = std::max(0.0, s.g + inc);
     if (s.g > threshold_) {
       ++s.alarms;
       if (s.first_alarm == 0) s.first_alarm = state.n;
       s.g = 0.0;  // Page's reset: keep watching for the next change
     }
   };
-  step(kSideHigh, state.high);
-  step(kSideLow, state.low);
+  if (config_.kind == CpdKind::kCusum) {
+    // One LLR per sample serves both sides: +llr targets ω_h, −llr ω_l.
+    const double inc = llr(x);
+    step(state.high, inc);
+    step(state.low, -inc);
+  } else {
+    step(state.high, increment(kSideHigh, state.high, x));
+    step(state.low, increment(kSideLow, state.low, x));
+  }
 }
 
 double CpdModel::max_statistic(std::size_t side,
@@ -132,7 +142,7 @@ double CpdModel::max_statistic(std::size_t side,
   state.mean = ewma_[side].mean0;
   double peak = 0.0;
   for (double x : stream) {
-    advance(side, state, x);
+    state.g = std::max(0.0, state.g + increment(side, state, x));
     peak = std::max(peak, state.g);
   }
   return peak;
@@ -170,10 +180,29 @@ double calibrate_threshold(const CpdModel& model,
   // threshold h happens within the horizon iff that max exceeds h
   // (resets only matter after the first crossing). Trials draw their RNG
   // substreams by index, so the estimate is order- and thread-independent.
+  //
+  // A CUSUM increment is a pure function of x, and a replay only ever
+  // draws pool elements: each side's increments are computed once per
+  // pool element, and every replay step is a table load plus the same
+  // g ← max(0, g + inc) fold as max_statistic, on the same draws. The
+  // adaptive-EWMA increment depends on its running mean, so it replays
+  // through max_statistic sample by sample.
+  const bool tabulate = model.config().kind == CpdKind::kCusum;
+  std::array<std::vector<double>, 2> increments;
+  if (tabulate) {
+    for (const std::size_t side : {CpdModel::kSideHigh, CpdModel::kSideLow}) {
+      const auto& pool = class_samples[side == CpdModel::kSideHigh ? 0 : 1];
+      increments[side].reserve(pool.size());
+      for (const double x : pool) {
+        const double inc = model.llr(x);
+        increments[side].push_back(side == CpdModel::kSideHigh ? inc : -inc);
+      }
+    }
+  }
   const util::RngFactory factory(seed);
   std::vector<double> maxima;
   maxima.reserve(trials);
-  std::vector<double> stream(horizon);
+  std::vector<double> stream(tabulate ? 0 : horizon);
   for (std::size_t t = 0; t < trials; ++t) {
     auto rng = factory.make(t);
     double worst = 0.0;
@@ -182,10 +211,22 @@ double calibrate_threshold(const CpdModel& model,
       const auto& pool =
           class_samples[side == CpdModel::kSideHigh ? 0 : 1];
       const double size = static_cast<double>(pool.size());
-      for (auto& x : stream) {
-        x = pool[static_cast<std::size_t>(rng.uniform01() * size)];
+      const auto draw = [&] {
+        return static_cast<std::size_t>(rng.uniform01() * size);
+      };
+      double peak = 0.0;
+      if (tabulate) {
+        const std::vector<double>& table = increments[side];
+        double g = 0.0;
+        for (std::size_t i = 0; i < horizon; ++i) {
+          g = std::max(0.0, g + table[draw()]);
+          peak = std::max(peak, g);
+        }
+      } else {
+        for (auto& x : stream) x = pool[draw()];
+        peak = model.max_statistic(side, stream);
       }
-      worst = std::max(worst, model.max_statistic(side, stream));
+      worst = std::max(worst, peak);
     }
     maxima.push_back(worst);
   }

@@ -70,8 +70,8 @@ struct CpdConfig {
 
   /// Density model for the CUSUM LLR increments. Defaults to the
   /// parametric Gaussian fit — unlike the window classifiers, a CPD update
-  /// runs per PIAT, and a KDE log-pdf (O(training set) per evaluation)
-  /// would also make the Monte-Carlo calibration quadratic.
+  /// runs per PIAT, and a KDE log-pdf costs O(training set) per evaluation
+  /// (the calibration's one-per-pool-element table is then O(pool²)).
   DensityKind density = DensityKind::kGaussian;
   stats::BandwidthRule bandwidth = stats::BandwidthRule::kSilverman;
   double fixed_bandwidth = 0.0;
@@ -151,7 +151,14 @@ class CpdModel {
   /// One per-sample update of both sides: advance g (and μ), then apply
   /// the threshold — alarm bookkeeping + Page reset. A pure fold: the
   /// result depends only on (state, sample sequence), never on batching.
+  /// CUSUM evaluates llr(x) once and applies +llr / −llr to the two sides.
   void update(CpdClassState& state, double x) const;
+
+  /// CUSUM log-likelihood ratio log f(x|ω_h) − log f(x|ω_l): the high
+  /// side's increment; the low side adds its negation. A pure function of
+  /// x, so calibrate_threshold() tabulates it once per pool element. CUSUM
+  /// models only.
+  [[nodiscard]] double llr(double x) const;
 
   /// Max of side `side`'s statistic over a replayed stream, from a fresh
   /// state and WITHOUT threshold resets — the per-trial Monte-Carlo
@@ -171,8 +178,9 @@ class CpdModel {
  private:
   CpdModel() = default;
 
-  /// Advance one side by one sample (statistic + EWMA mean), no threshold.
-  void advance(std::size_t side, CpdSideState& state, double x) const;
+  /// Side `side`'s statistic increment for sample x; adaptive-EWMA also
+  /// steps the side's running mean. No fold, no threshold.
+  double increment(std::size_t side, CpdSideState& state, double x) const;
 
   struct EwmaSide {
     double mean0 = 0.0;  ///< null-class training mean (μ's start value)
@@ -191,7 +199,10 @@ class CpdModel {
 /// (side high replays class ω_l, side low replays ω_h) over
 /// config.horizon samples each; returns the (1 − target_far) empirical
 /// quantile of the per-trial max statistic. Serial and fully determined by
-/// (model parameters, class_samples, config.calibration_seed).
+/// (model parameters, class_samples, config.calibration_seed). CUSUM costs
+/// O(pool) llr() evaluations plus O(trials·horizon) table-driven folds,
+/// bitwise equal to replaying each trial through max_statistic();
+/// adaptive-EWMA replays through max_statistic() itself.
 [[nodiscard]] double calibrate_threshold(
     const CpdModel& model,
     const std::vector<std::vector<double>>& class_samples, double target_far,

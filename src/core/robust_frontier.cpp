@@ -1,6 +1,8 @@
 #include "core/robust_frontier.hpp"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -57,6 +59,75 @@ void require_overhead_accounting(const ExperimentBackend& backend,
   }
 }
 
+/// One stored (class, salt) stream of a tuning capture.
+struct StoredStream {
+  std::vector<double> piats;
+  bool exhausted = false;  ///< the source backend came up short
+};
+
+/// Reads one stored stream from its start, like a fresh open of the
+/// backend it was pulled from.
+class StoredSource final : public PiatSource {
+ public:
+  StoredSource(const StoredStream& stream, std::size_t class_index,
+               std::uint64_t salt)
+      : stream_(&stream), class_index_(class_index), salt_(salt) {}
+
+  std::size_t collect(std::size_t count, std::vector<double>& out) override {
+    const std::size_t left = stream_->piats.size() - cursor_;
+    if (count > left && !stream_->exhausted) {
+      throw std::out_of_range(
+          "stored capture: read past the stored stream (class " +
+          std::to_string(class_index_) + ", salt " + std::to_string(salt_) +
+          "): " + std::to_string(stream_->piats.size()) + " PIATs stored, " +
+          std::to_string(cursor_ + count) + " requested");
+    }
+    const std::size_t take = std::min(count, left);
+    const double* first = stream_->piats.data() + cursor_;
+    out.insert(out.end(), first, first + take);
+    cursor_ += take;
+    return take;
+  }
+
+  [[nodiscard]] std::string name() const override { return "stored"; }
+
+ private:
+  const StoredStream* stream_;
+  std::size_t class_index_;
+  std::uint64_t salt_;
+  std::size_t cursor_ = 0;
+};
+
+/// Read-only backend over the (class, salt ∈ {1, 2}) streams of one
+/// (scenario, seed). Every open of a key replays the same stored vector,
+/// so the store is replayable whatever the backend it was pulled from.
+class StoredCaptureBackend final : public ExperimentBackend {
+ public:
+  StoredCaptureBackend(std::uint64_t seed,
+                       std::vector<std::array<StoredStream, 2>> streams)
+      : seed_(seed), streams_(std::move(streams)) {}
+
+  [[nodiscard]] std::unique_ptr<PiatSource> open(
+      const Scenario&, std::size_t class_index, std::uint64_t seed,
+      std::uint64_t salt) const override {
+    if (seed != seed_ || class_index >= streams_.size() || salt < 1 ||
+        salt > 2) {
+      throw std::out_of_range(
+          "stored capture: no stream for class " +
+          std::to_string(class_index) + ", seed " + std::to_string(seed) +
+          ", salt " + std::to_string(salt));
+    }
+    return std::make_unique<StoredSource>(streams_[class_index][salt - 1],
+                                          class_index, salt);
+  }
+
+  [[nodiscard]] std::string name() const override { return "stored"; }
+
+ private:
+  std::uint64_t seed_;
+  std::vector<std::array<StoredStream, 2>> streams_;  ///< [class][salt − 1]
+};
+
 void append_json_string(std::string& out, const std::string& s) {
   out.push_back('"');
   for (char c : s) {
@@ -80,6 +151,28 @@ void append_hex_double(std::string& out, double x) {
 
 }  // namespace
 
+namespace detail {
+
+std::unique_ptr<ExperimentBackend> store_capture(
+    const ExperimentBackend& backend, const Scenario& scenario,
+    std::uint64_t seed, std::size_t train_piats, std::size_t test_piats,
+    std::size_t batch_piats) {
+  std::vector<std::array<StoredStream, 2>> streams(
+      scenario.payload_rates.size());
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    for (const std::uint64_t salt : {1, 2}) {
+      const std::size_t want = salt == 1 ? train_piats : test_piats;
+      StoredStream& stream = streams[c][salt - 1];
+      stream.piats =
+          pull_stream(backend, scenario, c, seed, salt, want, batch_piats);
+      stream.exhausted = stream.piats.size() < want;
+    }
+  }
+  return std::make_unique<StoredCaptureBackend>(seed, std::move(streams));
+}
+
+}  // namespace detail
+
 TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
                           const classify::DetectorSearchSpace& space,
                           std::uint64_t seed, const ExperimentBackend& backend,
@@ -96,6 +189,19 @@ TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
   }
   const auto candidates = space.expand();
 
+  // Simulate once per call: every candidate of every round reads the same
+  // (class, salt) streams of (scenario, seed), so pull each once at the
+  // widest budget any candidate reads — a candidate's capture is its
+  // train/test windows × its own window size — and serve the rounds from
+  // memory.
+  std::size_t widest_window = 0;
+  for (const auto& candidate : candidates) {
+    widest_window = std::max(widest_window, candidate.adversary.window_size);
+  }
+  const auto capture = detail::store_capture(
+      backend, scenario, seed, plan.train_windows * widest_window,
+      plan.test_windows * widest_window, options.sweep.batch_piats);
+
   TuneResult result;
   // One round = one SweepRunner sweep over the survivors, every candidate
   // an independent point of the same (scenario, seed): identical captures,
@@ -105,7 +211,7 @@ TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
                             std::size_t train_windows,
                             std::size_t test_windows) {
     const auto report =
-        SweepRunner(backend, options.sweep)
+        SweepRunner(*capture, options.sweep)
             .run(survivors.size(), [&](std::size_t i) {
               return candidate_spec(scenario, plan, candidates[survivors[i]],
                                     seed, train_windows, test_windows);
@@ -124,10 +230,10 @@ TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
   std::iota(survivors.begin(), survivors.end(), std::size_t{0});
 
   // Halving rounds: budget doubles from min_windows, each round keeps the
-  // better half. The prefix property makes the schedule cheap — a doubled
-  // budget EXTENDS the previous round's capture (same scenario, same seed)
-  // rather than re-rolling it, so survivors are re-scored on strictly more
-  // of the same evidence, never on a different draw.
+  // better half. The prefix property makes the schedule honest — a doubled
+  // budget reads a longer prefix of the same stored capture rather than
+  // re-rolling it, so survivors are re-scored on strictly more of the same
+  // evidence, never on a different draw.
   std::size_t budget = options.min_windows;
   while (survivors.size() > options.exhaustive_limit &&
          budget < plan.train_windows) {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,14 @@ struct TuneResult {
 /// finalists. Deterministic: bit-identical winner and scores at any
 /// thread count. Throws std::invalid_argument when
 /// options.sweep.early_stop is set.
+///
+/// One stored capture per call: `backend` is opened once per (class,
+/// salt ∈ {1, 2}) at the widest budget any candidate reads (the plan's
+/// train/test windows × the largest candidate window size), and every
+/// candidate's engine run reads that capture from memory. It costs
+/// classes × 2 × widest budget doubles (≈384 KB for two classes, 12
+/// windows and a widest window of 1000 PIATs), and it makes "identical
+/// captures" hold on a non-replayable (live) backend too.
 [[nodiscard]] TuneResult tune_adversary(
     const Scenario& scenario, const AdversaryPlan& plan,
     const classify::DetectorSearchSpace& space, std::uint64_t seed,
@@ -164,5 +173,22 @@ struct RobustFrontierResult {
 /// this.
 [[nodiscard]] std::string robust_frontier_json(
     const RobustFrontierResult& result);
+
+namespace detail {
+
+/// The capture tune_adversary evaluates its candidates on, exposed for its
+/// tests: each (class, salt ∈ {1, 2}) stream of (scenario, seed) pulled
+/// once from `backend` — `train_piats` for salt 1, `test_piats` for salt 2
+/// — and served read-only by the returned backend, whose opens ignore the
+/// scenario argument. Opening any other (class, seed, salt) key, or reading
+/// past the end of a stream `backend` delivered in full, throws
+/// std::out_of_range ("stored capture: ..."); a stream `backend` delivered
+/// short reports exhaustion where `backend` did.
+[[nodiscard]] std::unique_ptr<ExperimentBackend> store_capture(
+    const ExperimentBackend& backend, const Scenario& scenario,
+    std::uint64_t seed, std::size_t train_piats, std::size_t test_piats,
+    std::size_t batch_piats);
+
+}  // namespace detail
 
 }  // namespace linkpad::core

@@ -8,6 +8,8 @@
 //    detector exactly;
 //  * Monte-Carlo ARL0 calibration is deterministic in its seed and meets
 //    the false-alarm target on FRESH null replays (Wilson interval check);
+//    the CUSUM increment table is bitwise equal to the per-sample
+//    max_statistic replay for every scheme × density × pool size;
 //  * the experiment engine / population engine / shard pipeline thread the
 //    time-to-detection outcomes end to end, bit-identically at any thread
 //    count and across the shard-file round-trip.
@@ -15,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
 #include <thread>
@@ -256,6 +261,71 @@ TEST(CpdCalibration, MeetsFalseAlarmTargetOnFreshNullReplays) {
       << "fresh false-alarm rate " << ci.point << " too high";
   EXPECT_GE(ci.hi, kTargetFar)
       << "fresh false-alarm rate " << ci.point << " too low";
+}
+
+/// calibrate_threshold's reference: every trial materializes each side's
+/// bootstrap replay and folds it sample by sample through max_statistic —
+/// the per-sample path the CUSUM table replaced.
+double replayed_threshold(const CpdModel& model,
+                          const std::vector<std::vector<double>>& pools,
+                          double target_far, std::size_t horizon,
+                          std::size_t trials, std::uint64_t seed) {
+  const util::RngFactory factory(seed);
+  std::vector<double> maxima;
+  std::vector<double> stream(horizon);
+  for (std::size_t t = 0; t < trials; ++t) {
+    auto rng = factory.make(t);
+    double worst = 0.0;
+    for (const std::size_t side : {CpdModel::kSideHigh, CpdModel::kSideLow}) {
+      const auto& pool = pools[side == CpdModel::kSideHigh ? 0 : 1];
+      const double size = static_cast<double>(pool.size());
+      for (auto& x : stream) {
+        x = pool[static_cast<std::size_t>(rng.uniform01() * size)];
+      }
+      worst = std::max(worst, model.max_statistic(side, stream));
+    }
+    maxima.push_back(worst);
+  }
+  std::sort(maxima.begin(), maxima.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil((1.0 - target_far) * static_cast<double>(trials)));
+  return maxima[std::min(trials - 1, std::max<std::size_t>(rank, 1) - 1)];
+}
+
+TEST(CpdCalibration, TabulatedReplayBitwiseEqualsPerSampleReplay) {
+  constexpr std::size_t kHorizon = 64;
+  constexpr std::size_t kTrials = 24;
+  // One target per seed, so the wall reads high, middle and low order
+  // statistics of the replay maxima.
+  constexpr std::array<double, 3> kFars = {0.05, 0.5, 0.95};
+  std::size_t cases = 0;
+  for (const auto kind : {CpdKind::kCusum, CpdKind::kAdaptiveEwma}) {
+    for (const auto density :
+         {DensityKind::kGaussian, DensityKind::kKde, DensityKind::kHistogram}) {
+      for (const std::size_t pool_size : {2u, 37u, 4096u}) {
+        const std::vector<std::vector<double>> pools = {
+            synthetic_stream(1.00, 0.10, 100 + pool_size, pool_size),
+            synthetic_stream(1.06, 0.14, 200 + pool_size, pool_size)};
+        CpdConfig config;
+        config.kind = kind;
+        config.density = density;
+        const auto model = CpdModel::train(config, pools);
+        for (std::size_t s = 0; s < kFars.size(); ++s) {
+          const std::uint64_t seed = 20030324 + s;
+          const double got = calibrate_threshold(model, pools, kFars[s],
+                                                 kHorizon, kTrials, seed);
+          const double want = replayed_threshold(model, pools, kFars[s],
+                                                 kHorizon, kTrials, seed);
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << cpd_kind_name(kind) << " density "
+              << static_cast<int>(density) << " pool " << pool_size
+              << " seed " << seed << ": " << got << " vs " << want;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 54u);
 }
 
 TEST(CpdModel, EqualTrainingMeansNeverFireEwma) {
