@@ -649,6 +649,28 @@ int main(int argc, char** argv) {
           }));
       derived.bank_span_speedup = results.back().items_per_sec / per_sample_ips;
     }
+
+    // Whole-window kernels (WindowAccumulator::add_windows): the paper's
+    // three features over 640 consecutive n = 100 windows, the shape the
+    // prefix-replay engine hands a detector for its smallest sample size.
+    {
+      std::vector<double> span(64000);
+      for (auto& x : span) x = dist.sample(rng);
+      std::vector<std::unique_ptr<classify::WindowAccumulator>> kernels;
+      for (const auto kind : {classify::FeatureKind::kSampleMean,
+                              classify::FeatureKind::kSampleVariance,
+                              classify::FeatureKind::kSampleEntropy}) {
+        kernels.push_back(classify::make_window_accumulator(kind, acc_opts));
+      }
+      std::vector<double> values;
+      results.push_back(
+          run_bench("bank/window_kernels_n100_64k", "piats", min_time, [&] {
+            values.clear();
+            for (auto& acc : kernels) acc->add_windows(span, 100, values);
+            return static_cast<std::uint64_t>(span.size() +
+                                              (values[0] < 0.0 ? 1 : 0));
+          }));
+    }
   }
 
   // Streaming change-point detectors: per-PIAT cost of one two-sided

@@ -204,25 +204,50 @@ void Detector::feed_chunk(std::size_t class_index,
   }
 }
 
+void Detector::feed_windows(std::size_t class_index,
+                            std::span<const double> windows, bool testing) {
+  auto& acc = *accumulators_[class_index];
+  const std::size_t n = spec_.adversary.window_size;
+  if (!testing) {
+    acc.add_windows(windows, n, training_features_[class_index]);
+    return;
+  }
+  std::vector<double> features;
+  acc.add_windows(windows, n, features);
+  for (const double feature : features) {
+    confusion_.add(static_cast<ClassLabel>(class_index),
+                   classifier_->classify(feature));
+  }
+}
+
 void Detector::feed(std::size_t class_index, std::span<const double> batch,
                     bool testing) {
   LINKPAD_EXPECTS(prepared_);
   LINKPAD_EXPECTS(class_index < num_classes_);
   const std::size_t n = spec_.adversary.window_size;
-  // Walk the batch window by window: one (de)virtualized span add per
-  // window chunk instead of a virtual call + boundary branch per sample.
-  // Chunks additionally break at armed checkpoints so a snapshot lands
-  // exactly at its prefix length.
+  // Walk the batch in pieces that stop at armed checkpoints, so a snapshot
+  // lands exactly at its prefix length. A feature detector finishes its
+  // partial window, hands every whole window of the piece to one
+  // add_windows call, then starts the trailing partial window; EDF and CPD
+  // detectors take one window-sized chunk per step.
   while (!batch.empty()) {
-    std::size_t take = std::min(batch.size(), n - window_fill(class_index));
+    std::size_t limit = batch.size();
     if (testing && !checkpoints_.empty() &&
         next_checkpoint_[class_index] < checkpoints_.size()) {
       const std::size_t to_checkpoint =
           checkpoints_[next_checkpoint_[class_index]] -
           test_consumed_[class_index];
-      take = std::min(take, to_checkpoint);
+      limit = std::min(limit, to_checkpoint);
     }
-    feed_chunk(class_index, batch.first(take), testing);
+    const std::size_t fill = window_fill(class_index);
+    std::size_t take = 0;
+    if (!is_edf() && !is_cpd() && fill == 0 && limit >= n) {
+      take = limit - limit % n;
+      feed_windows(class_index, batch.first(take), testing);
+    } else {
+      take = std::min(limit, n - fill);
+      feed_chunk(class_index, batch.first(take), testing);
+    }
     batch = batch.subspan(take);
     if (testing && !checkpoints_.empty()) {
       test_consumed_[class_index] += take;

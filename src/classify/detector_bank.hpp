@@ -151,6 +151,9 @@ class Detector {
             bool testing);
   void feed_chunk(std::size_t class_index, std::span<const double> chunk,
                   bool testing);
+  // Whole windows of a feature detector: one add_windows call.
+  void feed_windows(std::size_t class_index, std::span<const double> windows,
+                    bool testing);
   void complete_window(std::size_t class_index, bool testing);
   void classify_edf_window(std::size_t true_class);
   void thin_reference(std::vector<double>& reference) const;

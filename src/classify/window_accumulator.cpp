@@ -4,18 +4,46 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <utility>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "stats/descriptive.hpp"
 #include "stats/histogram.hpp"
 #include "stats/quantile_sketch.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace linkpad::classify {
 
 namespace {
+
+/// Appends one value slot per whole window of `xs` and hands the windows
+/// to `kernel` 4 at a time, then 2, then 1: kernel(lanes, first, out) with
+/// `lanes` a std::integral_constant. Consecutive windows are independent
+/// chains, so running them side by side lets one window's latency-bound
+/// step (an add, a divide) overlap the others'; each window still sees
+/// exactly its own samples in order.
+template <typename Kernel>
+void for_window_lanes(std::span<const double> xs, std::size_t n,
+                      std::vector<double>& values, const Kernel& kernel) {
+  LINKPAD_EXPECTS(n > 0 && xs.size() % n == 0);
+  const std::size_t windows = xs.size() / n;
+  const std::size_t first_slot = values.size();
+  values.resize(first_slot + windows);
+  const double* in = xs.data();
+  double* out = values.data() + first_slot;
+  std::size_t w = 0;
+  for (; w + 4 <= windows; w += 4) {
+    kernel(std::integral_constant<std::size_t, 4>{}, in + w * n, out + w);
+  }
+  if (w + 2 <= windows) {
+    kernel(std::integral_constant<std::size_t, 2>{}, in + w * n, out + w);
+    w += 2;
+  }
+  if (w < windows) {
+    kernel(std::integral_constant<std::size_t, 1>{}, in + w * n, out + w);
+  }
+}
 
 class MeanAccumulator final : public WindowAccumulator {
  public:
@@ -28,6 +56,23 @@ class MeanAccumulator final : public WindowAccumulator {
     // per sample.
     for (double x : xs) sum_ += x;
     n_ += xs.size();
+  }
+  void add_windows(std::span<const double> xs, std::size_t n,
+                   std::vector<double>& values) override {
+    LINKPAD_EXPECTS(n_ == 0);
+    for_window_lanes(xs, n, values,
+                     [n](auto lanes, const double* x, double* out) {
+                       constexpr std::size_t kLanes = decltype(lanes)::value;
+                       std::array<double, kLanes> sum{};
+                       for (std::size_t i = 0; i < n; ++i) {
+                         for (std::size_t l = 0; l < kLanes; ++l) {
+                           sum[l] += x[l * n + i];
+                         }
+                       }
+                       for (std::size_t l = 0; l < kLanes; ++l) {
+                         out[l] = sum[l] / static_cast<double>(n);
+                       }
+                     });
   }
   [[nodiscard]] double value() const override {
     LINKPAD_EXPECTS(n_ > 0);
@@ -48,106 +93,73 @@ class MeanAccumulator final : public WindowAccumulator {
   std::size_t n_ = 0;
 };
 
+/// Welford mean and M2 only: the variance feature never reads the higher
+/// moments or the extremes RunningStats also tracks.
 class VarianceAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override { rs_.add(x); }
-  void add_span(std::span<const double> xs) override {
-    for (double x : xs) rs_.add(x);
+  void add(double x) override {
+    const auto [delta_n, term1] =
+        stats::welford_step(x, mean_, static_cast<double>(n_));
+    mean_ += delta_n;
+    m2_ += term1;
+    ++n_;
   }
-  [[nodiscard]] double value() const override { return rs_.variance(); }
-  void reset() override { rs_ = stats::RunningStats{}; }
-  [[nodiscard]] std::size_t count() const override { return rs_.count(); }
+  void add_span(std::span<const double> xs) override {
+    for (double x : xs) VarianceAccumulator::add(x);
+  }
+  void add_windows(std::span<const double> xs, std::size_t n,
+                   std::vector<double>& values) override {
+    LINKPAD_EXPECTS(n_ == 0);
+    LINKPAD_EXPECTS(n > 1);  // value() needs two samples per window
+    for_window_lanes(
+        xs, n, values, [n](auto lanes, const double* x, double* out) {
+          constexpr std::size_t kLanes = decltype(lanes)::value;
+          std::array<double, kLanes> mean{};
+          std::array<double, kLanes> m2{};
+          for (std::size_t i = 0; i < n; ++i) {
+            const double count_before = static_cast<double>(i);
+            for (std::size_t l = 0; l < kLanes; ++l) {
+              const auto [delta_n, term1] =
+                  stats::welford_step(x[l * n + i], mean[l], count_before);
+              mean[l] += delta_n;
+              m2[l] += term1;
+            }
+          }
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            out[l] = m2[l] / static_cast<double>(n - 1);
+          }
+        });
+  }
+  [[nodiscard]] double value() const override {
+    LINKPAD_EXPECTS(n_ > 1);
+    return m2_ / static_cast<double>(n_ - 1);
+  }
+  void reset() override {
+    mean_ = 0.0;
+    m2_ = 0.0;
+    n_ = 0;
+  }
+  [[nodiscard]] std::size_t count() const override { return n_; }
   [[nodiscard]] std::string name() const override { return "sample variance"; }
   [[nodiscard]] std::unique_ptr<WindowAccumulator> clone() const override {
     return std::make_unique<VarianceAccumulator>(*this);
   }
 
  private:
-  stats::RunningStats rs_;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+  std::size_t n_ = 0;
 };
 
-/// Open-addressing (bin index → count) table: the entropy accumulator's hot
-/// store. SparseHistogram's std::map costs a pointer-chasing insert per
-/// PIAT; this flat table makes the per-sample step a hash + linear probe,
-/// which matters because the prefix-replay engine streams every capture
-/// through one entropy accumulator per sample-size point. Counts are
-/// integers, so the content — and any entropy derived from it — is exactly
-/// the histogram a SparseHistogram would hold.
-class FlatBinCounter {
- public:
-  FlatBinCounter() { cells_.resize(kInitialSlots); }
-
-  void add(std::int64_t bin) {
-    ++total_;
-    std::size_t idx = slot_of(bin);
-    for (;;) {
-      Cell& cell = cells_[idx];
-      if (cell.count == 0) {
-        cell.bin = bin;
-        cell.count = 1;
-        if (++used_ * 3 >= cells_.size() * 2) grow();
-        return;
-      }
-      if (cell.bin == bin) {
-        ++cell.count;
-        return;
-      }
-      idx = (idx + 1) & (cells_.size() - 1);
-    }
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::size_t occupied() const { return used_; }
-
-  /// Occupied (bin, count) cells in ascending bin order.
-  [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint64_t>> sorted_cells()
-      const {
-    std::vector<std::pair<std::int64_t, std::uint64_t>> out;
-    out.reserve(used_);
-    for (const Cell& cell : cells_) {
-      if (cell.count != 0) out.emplace_back(cell.bin, cell.count);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  void clear() {
-    // Keep the capacity: windows of one detector are all the same size, so
-    // the table reaches steady state after the first window.
-    std::fill(cells_.begin(), cells_.end(), Cell{});
-    used_ = 0;
-    total_ = 0;
-  }
-
- private:
-  struct Cell {
-    std::int64_t bin = 0;
-    std::uint64_t count = 0;  // 0 == empty slot
-  };
-  static constexpr std::size_t kInitialSlots = 64;  // power of two
-
-  [[nodiscard]] std::size_t slot_of(std::int64_t bin) const {
-    return static_cast<std::size_t>(
-               util::SplitMix64::mix(static_cast<std::uint64_t>(bin))) &
-           (cells_.size() - 1);
-  }
-
-  void grow() {
-    std::vector<Cell> old = std::move(cells_);
-    cells_.assign(old.size() * 2, Cell{});
-    for (const Cell& cell : old) {
-      if (cell.count == 0) continue;
-      std::size_t idx = slot_of(cell.bin);
-      while (cells_[idx].count != 0) idx = (idx + 1) & (cells_.size() - 1);
-      cells_[idx] = cell;
-    }
-  }
-
-  std::vector<Cell> cells_;
-  std::size_t used_ = 0;
-  std::uint64_t total_ = 0;
-};
-
+/// Entropy of fixed-Δh bins. The window is kept as its samples' bin
+/// indices; value() counts them densely by offset over the occupied range
+/// [min, max] and reads the counts in ascending bin order through
+/// stats::CountEntropy, the estimator histogram_entropy runs. Bin counts
+/// do not depend on sample order, so the value is bit-identical to
+/// stats::sample_entropy. Memory stays O(samples) for any finite input:
+/// when the occupied range is wider than kDenseSlack + 2·samples cells,
+/// the dense run of that many cells is centred on the median bin and the
+/// far-out bins go to a sorted spill instead.
 class EntropyAccumulator final : public WindowAccumulator {
  public:
   EntropyAccumulator(double bin_width, stats::EntropyBias bias)
@@ -156,49 +168,101 @@ class EntropyAccumulator final : public WindowAccumulator {
   }
 
   void add(double x) override {
-    // Same binning as SparseHistogram::add: bin(x) = floor(x / Δh).
-    counter_.add(static_cast<std::int64_t>(std::floor(x / bin_width_)));
+    const std::int64_t bin = stats::bin_index(x, bin_width_);
+    bins_.push_back(bin);
+    min_bin_ = std::min(min_bin_, bin);
+    max_bin_ = std::max(max_bin_, bin);
   }
   void add_span(std::span<const double> xs) override {
-    // Two-phase SoA batch: the divide+floor pass has no loop-carried
-    // dependence and auto-vectorizes into a stack buffer of bin indices;
-    // only the hash-table inserts stay scalar. Bins are inserted in sample
-    // order, so the counter content is bit-identical to per-sample add().
-    std::array<std::int64_t, 256> bins;
-    while (!xs.empty()) {
-      const std::size_t take = std::min(xs.size(), bins.size());
-      for (std::size_t i = 0; i < take; ++i) {
-        bins[i] = static_cast<std::int64_t>(std::floor(xs[i] / bin_width_));
-      }
-      for (std::size_t i = 0; i < take; ++i) counter_.add(bins[i]);
-      xs = xs.subspan(take);
+    // The occupied range is tracked in the bin pass itself: a separate
+    // min/max pass in value() would cost as much as the binning.
+    const std::size_t first = bins_.size();
+    bins_.resize(first + xs.size());
+    std::int64_t* out = bins_.data() + first;
+    std::int64_t lo = min_bin_;
+    std::int64_t hi = max_bin_;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const std::int64_t bin = stats::bin_index(xs[i], bin_width_);
+      out[i] = bin;
+      lo = std::min(lo, bin);
+      hi = std::max(hi, bin);
     }
+    min_bin_ = lo;
+    max_bin_ = hi;
   }
-  [[nodiscard]] double value() const override {
-    // Rebuild the canonical SparseHistogram (ascending-bin inserts, a few
-    // dozen cells — negligible next to the window's adds) and evaluate the
-    // one histogram_entropy implementation. Identical cell contents mean an
-    // identical estimate bit for bit, with zero duplicated estimator logic.
-    stats::SparseHistogram hist(bin_width_);
-    for (const auto& [bin, count] : counter_.sorted_cells()) {
-      hist.add_cell(bin, count);
-    }
-    return stats::histogram_entropy(hist, bias_);
+  [[nodiscard]] double value() const override;
+  void reset() override {
+    bins_.clear();
+    min_bin_ = std::numeric_limits<std::int64_t>::max();
+    max_bin_ = std::numeric_limits<std::int64_t>::min();
   }
-  void reset() override { counter_.clear(); }
-  [[nodiscard]] std::size_t count() const override {
-    return static_cast<std::size_t>(counter_.total());
-  }
+  [[nodiscard]] std::size_t count() const override { return bins_.size(); }
   [[nodiscard]] std::string name() const override { return "sample entropy"; }
   [[nodiscard]] std::unique_ptr<WindowAccumulator> clone() const override {
     return std::make_unique<EntropyAccumulator>(*this);
   }
 
  private:
+  static constexpr std::uint64_t kDenseSlack = 64;
+
   stats::EntropyBias bias_;
   double bin_width_;
-  FlatBinCounter counter_;
+  std::vector<std::int64_t> bins_;  // the current window's bin indices
+  std::int64_t min_bin_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_bin_ = std::numeric_limits<std::int64_t>::min();
+  // value() scratch, kept to reuse its capacity across windows.
+  mutable std::vector<std::uint64_t> dense_;
+  mutable std::vector<std::int64_t> spill_;
 };
+
+double EntropyAccumulator::value() const {
+  LINKPAD_EXPECTS(!bins_.empty());
+  // Offsets are unsigned: bin indices lie within ±2^62 (stats::bin_index),
+  // so any two differ by at most 2^63.
+  const auto offset = [](std::int64_t bin, std::int64_t lo) {
+    return static_cast<std::uint64_t>(bin) - static_cast<std::uint64_t>(lo);
+  };
+  const std::uint64_t span = offset(max_bin_, min_bin_);
+  const std::uint64_t cells = kDenseSlack + 2 * bins_.size();
+  std::int64_t lo = min_bin_;
+  spill_.clear();
+  if (span >= cells) {
+    spill_.assign(bins_.begin(), bins_.end());
+    const auto mid =
+        spill_.begin() + static_cast<std::ptrdiff_t>(spill_.size() / 2);
+    std::nth_element(spill_.begin(), mid, spill_.end());
+    lo = *mid - static_cast<std::int64_t>(cells / 2);
+    spill_.clear();
+  }
+  dense_.assign(std::min(span + 1, cells), 0);
+  for (const std::int64_t bin : bins_) {
+    const std::uint64_t at = offset(bin, lo);
+    if (at < dense_.size()) {
+      ++dense_[at];
+    } else {
+      spill_.push_back(bin);
+    }
+  }
+  std::sort(spill_.begin(), spill_.end());
+
+  // Ascending bin order: spilled bins below the dense run, the run, then
+  // spilled bins above it.
+  stats::CountEntropy entropy(bins_.size());
+  auto spilled = spill_.cbegin();
+  const auto add_spilled_below = [&](std::int64_t limit) {
+    while (spilled != spill_.cend() && *spilled < limit) {
+      const auto run_end = std::upper_bound(spilled, spill_.cend(), *spilled);
+      entropy.add(static_cast<std::uint64_t>(run_end - spilled));
+      spilled = run_end;
+    }
+  };
+  add_spilled_below(lo);
+  for (const std::uint64_t count : dense_) {
+    if (count != 0) entropy.add(count);
+  }
+  add_spilled_below(std::numeric_limits<std::int64_t>::max());
+  return entropy.value(bias_);
+}
 
 /// Exact dispersion accumulators: buffer the window (bounded by the window
 /// size) and run the very same sorted-quantile code as the batch features.
@@ -303,6 +367,18 @@ class SketchIqrAccumulator final : public WindowAccumulator {
 };
 
 }  // namespace
+
+void WindowAccumulator::add_windows(std::span<const double> xs, std::size_t n,
+                                    std::vector<double>& values) {
+  LINKPAD_EXPECTS(count() == 0);
+  LINKPAD_EXPECTS(n > 0 && xs.size() % n == 0);
+  values.reserve(values.size() + xs.size() / n);
+  for (; !xs.empty(); xs = xs.subspan(n)) {
+    add_span(xs.first(n));
+    values.push_back(value());
+    reset();
+  }
+}
 
 std::unique_ptr<WindowAccumulator> make_window_accumulator(
     FeatureKind kind, const AccumulatorOptions& options) {

@@ -8,21 +8,29 @@
 // batch extractors share their numeric recurrences:
 //
 //  * mean      — in-order running sum: bit-identical to stats::mean;
-//  * variance  — Welford moments (stats::RunningStats), the same recurrence
+//  * variance  — the Welford mean/M2 step of stats::RunningStats
+//                (stats::welford_step), the recurrence
 //                SampleVarianceFeature runs: bit-identical;
-//  * entropy   — incremental SparseHistogram at fixed Δh; the histogram is
-//                order-independent, so bit-identical to stats::sample_entropy;
+//  * entropy   — per-bin counts at fixed Δh (stats::bin_index), read in
+//                ascending bin order by the stats::CountEntropy estimator
+//                that histogram_entropy runs: bit-identical to
+//                stats::sample_entropy;
 //  * MAD / IQR — QuantileMode::kExact buffers the window (memory O(n),
 //                bounded by the window size) and evaluates the same
 //                sorted-quantile code as the batch features: bit-identical.
 //                QuantileMode::kP2Sketch swaps the buffer for P² quantile
 //                markers — O(1) memory for arbitrarily large windows, with
 //                the ~1% relative accuracy documented in quantile_sketch.hpp.
+//
+// Whole windows go through add_windows() (DESIGN.md §2.5): mean and variance
+// run several windows side by side, and every value is bit-identical to the
+// per-window add_span / value / reset loop.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "classify/feature.hpp"
 #include "stats/entropy.hpp"
@@ -57,6 +65,15 @@ class WindowAccumulator {
     for (double x : xs) add(x);
   }
 
+  /// Whole-window entry point: `xs` is consecutive windows of `n` samples
+  /// (requires count() == 0, n > 0 and xs.size() % n == 0). Appends each
+  /// window's value to `values` in window order and leaves the accumulator
+  /// reset. Each value is bit-identical to add_span(window), value(),
+  /// reset(), which is what this base implementation runs; mean and
+  /// variance override it with kernels that overlap consecutive windows.
+  virtual void add_windows(std::span<const double> xs, std::size_t n,
+                           std::vector<double>& values);
+
   /// Feature value of the samples added since construction / reset().
   [[nodiscard]] virtual double value() const = 0;
 
@@ -70,8 +87,9 @@ class WindowAccumulator {
 
   /// Deep copy of the accumulator INCLUDING partially-consumed window
   /// state — the checkpoint primitive for forked detector banks. O(state):
-  /// O(1) for the moment/sketch accumulators, O(occupied bins) for entropy
-  /// and O(buffered samples) for the exact dispersion accumulators.
+  /// O(1) for the moment/sketch accumulators, O(buffered samples) for
+  /// entropy (one bin index per sample) and the exact dispersion
+  /// accumulators.
   [[nodiscard]] virtual std::unique_ptr<WindowAccumulator> clone() const = 0;
 
   void add_batch(std::span<const double> xs) { add_span(xs); }

@@ -61,7 +61,12 @@ void append_bool(std::string& out, bool b) { out += b ? "true" : "false"; }
 // A recursive-descent parser for the subset the shard format emits:
 // objects, arrays, strings (basic escapes), integers (optional sign),
 // true/false/null. Doubles never appear as JSON numbers — they are hex
-// strings — so no float parsing exists to disagree across libcs.
+// strings — so no float parsing exists to disagree across libcs. Nesting
+// is capped at kMaxJsonDepth (the format itself nests a handful of
+// levels), so a hostile file of nested brackets fails with a named error
+// instead of overflowing the stack.
+
+constexpr std::size_t kMaxJsonDepth = 64;
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -189,14 +194,27 @@ class JsonParser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_nested(&JsonParser::parse_object);
+      case '[': return parse_nested(&JsonParser::parse_array);
       case '"': return parse_string();
       case 't':
       case 'f':
       case 'n': return parse_literal();
       default: return parse_number();
     }
+  }
+
+  JsonValue parse_nested(JsonValue (JsonParser::*parse)()) {
+    if (depth_ == kMaxJsonDepth) {
+      std::ostringstream msg;
+      msg << "shard_io: JSON nesting deeper than " << kMaxJsonDepth
+          << " levels at offset " << i_;
+      throw std::invalid_argument(msg.str());
+    }
+    ++depth_;
+    JsonValue v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   JsonValue parse_literal() {
@@ -311,6 +329,7 @@ class JsonParser {
 
   std::string_view s_;
   std::size_t i_ = 0;
+  std::size_t depth_ = 0;  // open arrays and objects around the cursor
 };
 
 // ---------------------------------------------- aggregate <-> JSON pieces

@@ -76,7 +76,8 @@ Trace load_trace_csv(const std::string& path) {
       continue;
     }
     double value = 0.0;
-    if (!parse_full_double(line, value)) {
+    // strtod also parses "nan" and "inf"; neither is an inter-arrival time.
+    if (!parse_full_double(line, value) || !std::isfinite(value)) {
       fail_at("load_trace_csv: malformed value", path, line_number, line);
     }
     trace.piats.push_back(value);
@@ -144,6 +145,12 @@ Trace load_trace_binary(const std::string& path) {
   // the count field and the file disagree.
   in.peek();
   if (!in.eof()) fail("load_trace_binary: trailing bytes after payload", path);
+  for (std::size_t i = 0; i < trace.piats.size(); ++i) {
+    if (!std::isfinite(trace.piats[i])) {
+      fail("load_trace_binary: non-finite PIAT at index " + std::to_string(i),
+           path);
+    }
+  }
   return trace;
 }
 

@@ -24,12 +24,15 @@ struct Trace {
 void save_trace_csv(const std::string& path, const Trace& trace);
 
 /// Read CSV written by save_trace_csv (or any one-number-per-line file).
+/// Throws std::runtime_error naming file:line on a malformed or non-finite
+/// (nan, inf) value.
 Trace load_trace_csv(const std::string& path);
 
 /// Write the binary LPT1 format.
 void save_trace_binary(const std::string& path, const Trace& trace);
 
-/// Read the binary LPT1 format; validates the magic and count.
+/// Read the binary LPT1 format; validates the magic and count, and throws
+/// std::runtime_error naming the PIAT index of a non-finite value.
 Trace load_trace_binary(const std::string& path);
 
 }  // namespace linkpad::core

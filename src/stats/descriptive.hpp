@@ -13,6 +13,22 @@
 
 namespace linkpad::stats {
 
+/// The increments of one Welford step for the running mean and second
+/// central moment: mean += delta_n, M2 += term1.
+struct WelfordStep {
+  double delta_n;  ///< (x − mean) / n
+  double term1;    ///< (x − mean) · delta_n · (n − 1)
+};
+
+/// One Welford step for sample x joining `count_before` samples of mean
+/// `mean`. RunningStats::add and the variance window kernels share it, so
+/// their mean/M2 recurrences cannot drift apart.
+inline WelfordStep welford_step(double x, double mean, double count_before) {
+  const double delta = x - mean;
+  const double delta_n = delta / (count_before + 1.0);
+  return {delta_n, delta * delta_n * count_before};
+}
+
 /// Numerically stable running moments (Welford / Chan et al. merge).
 /// Tracks up to 4th central moment so skewness / kurtosis are available.
 class RunningStats {
@@ -29,10 +45,8 @@ class RunningStats {
     const double n1 = static_cast<double>(n_);
     ++n_;
     const double n = static_cast<double>(n_);
-    const double delta = x - mean_;
-    const double delta_n = delta / n;
+    const auto [delta_n, term1] = welford_step(x, mean_, n1);
     const double delta_n2 = delta_n * delta_n;
-    const double term1 = delta * delta_n * n1;
     mean_ += delta_n;
     m4_ += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2_ -
            4.0 * delta_n * m3_;

@@ -6,37 +6,29 @@
 
 namespace linkpad::stats {
 
-double histogram_entropy(const SparseHistogram& hist, EntropyBias bias) {
-  const double n = static_cast<double>(hist.total());
-  LINKPAD_EXPECTS(n > 0);
-
-  double h = 0.0;
-  for (const auto& [bin, count] : hist.cells()) {
-    const double p = static_cast<double>(count) / n;
-    h -= p * std::log(p);
-  }
-
-  const double k = static_cast<double>(hist.occupied_bins());
+double CountEntropy::value(EntropyBias bias) const {
+  LINKPAD_EXPECTS(n_ > 0);
+  double h = h_;
   switch (bias) {
     case EntropyBias::kNone:
       break;
     case EntropyBias::kMillerMadow:
-      h += (k - 1.0) / (2.0 * n);
+      h += (occupied_ - 1.0) / (2.0 * n_);
       break;
     case EntropyBias::kModdemeijer:
       // Moddemeijer (1989) applies the same first-order (K−1)/(2n) cell
       // correction but counts only cells with ≥ 2 samples as "resolved";
       // singleton cells carry no curvature information.
-      {
-        double resolved = 0.0;
-        for (const auto& [bin, count] : hist.cells()) {
-          if (count >= 2) resolved += 1.0;
-        }
-        h += (resolved - 1.0) / (2.0 * n);
-      }
+      h += (resolved_ - 1.0) / (2.0 * n_);
       break;
   }
   return h;
+}
+
+double histogram_entropy(const SparseHistogram& hist, EntropyBias bias) {
+  CountEntropy entropy(hist.total());
+  for (const auto& [bin, count] : hist.cells()) entropy.add(count);
+  return entropy.value(bias);
 }
 
 double sample_entropy(std::span<const double> xs, double bin_width,

@@ -13,6 +13,8 @@
 //  * the closed-form differential entropy of a normal, ½·ln(2πeσ²).
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "stats/histogram.hpp"
@@ -24,6 +26,33 @@ enum class EntropyBias {
   kNone,        ///< plain plug-in estimator, eq. (25)
   kMillerMadow, ///< + (occupied_bins − 1) / (2n)
   kModdemeijer, ///< + (occupied_bins) / (2n) − 1/(2n) ... small-cell correction
+};
+
+/// Eq. (25) fed one occupied bin's count at a time, in ascending bin order:
+/// the single estimator behind histogram_entropy and the streaming entropy
+/// accumulator, so equal counts give bit-identical estimates whatever
+/// structure holds them.
+class CountEntropy {
+ public:
+  /// `total` = the sum of all counts that will be added (> 0).
+  explicit CountEntropy(std::uint64_t total)
+      : n_(static_cast<double>(total)) {}
+
+  /// One occupied bin (count > 0); bins must arrive in ascending order.
+  void add(std::uint64_t count) {
+    const double p = static_cast<double>(count) / n_;
+    h_ -= p * std::log(p);
+    occupied_ += 1.0;
+    if (count >= 2) resolved_ += 1.0;
+  }
+
+  [[nodiscard]] double value(EntropyBias bias) const;
+
+ private:
+  double n_;
+  double h_ = 0.0;
+  double occupied_ = 0.0;
+  double resolved_ = 0.0;  // bins with >= 2 samples (Moddemeijer)
 };
 
 /// Discrete (bin-probability) entropy in nats from a sparse histogram;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <sstream>
+#include <stdexcept>
 
 #include "util/check.hpp"
 
@@ -88,12 +91,20 @@ double Histogram::density(std::size_t i) const {
          (static_cast<double>(total_) * width_);
 }
 
+void throw_bin_index_out_of_range(double x, double bin_width) {
+  std::ostringstream msg;
+  msg << std::setprecision(17) << "stats::bin_index: x = " << x
+      << " at bin width " << bin_width
+      << " has no bin index (x / width is NaN, infinite or beyond +/-2^62)";
+  throw std::invalid_argument(msg.str());
+}
+
 SparseHistogram::SparseHistogram(double bin_width) : width_(bin_width) {
   LINKPAD_EXPECTS(bin_width > 0.0);
 }
 
 void SparseHistogram::add(double x) {
-  const auto bin = static_cast<std::int64_t>(std::floor(x / width_));
+  const std::int64_t bin = bin_index(x, width_);
   ++counts_[bin];
   ++total_;
 }

@@ -10,6 +10,7 @@
 //    clamped.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -17,6 +18,32 @@
 #include <vector>
 
 namespace linkpad::stats {
+
+/// Largest |x / Δh| a fixed-width bin index may have. Any two indices then
+/// differ by at most 2^63, so offsets between them fit an unsigned 64-bit
+/// integer.
+inline constexpr double kMaxBinQuotient = 0x1p62;
+
+/// Throws the std::invalid_argument of bin_index (kept out of line so the
+/// per-sample check stays a compare and a predictable branch).
+[[noreturn]] void throw_bin_index_out_of_range(double x, double bin_width);
+
+/// Bin index floor(x / Δh) of the fixed-width histograms (SparseHistogram
+/// and the streaming entropy accumulator). Truncating and stepping down
+/// gives the same integer as std::floor for every in-range quotient,
+/// without the libm call. Throws std::invalid_argument naming the value
+/// when the quotient is NaN, infinite or beyond ±2^62, where converting it
+/// to an integer would be undefined behaviour.
+inline std::int64_t bin_index(double x, double bin_width) {
+  const double q = x / bin_width;
+  if (!(std::abs(q) <= kMaxBinQuotient)) {
+    throw_bin_index_out_of_range(x, bin_width);
+  }
+  // Truncation is floor for q >= 0; a negative non-integer steps down.
+  auto bin = static_cast<std::int64_t>(q);
+  if (q < 0.0 && static_cast<double>(bin) != q) --bin;
+  return bin;
+}
 
 /// Dense histogram over [lo, hi) with `bins` equal-width bins.
 /// Out-of-range samples are tallied in underflow/overflow counters.
@@ -72,17 +99,19 @@ class Histogram {
 };
 
 /// Unbounded histogram with fixed bin width Δh anchored at 0:
-/// bin(x) = floor(x / Δh). Sparse storage, ordered by bin index.
+/// bin(x) = bin_index(x, Δh) = floor(x / Δh). Sparse storage, ordered by
+/// bin index.
 class SparseHistogram {
  public:
   explicit SparseHistogram(double bin_width);
 
+  /// Throws std::invalid_argument (bin_index) for NaN, ±inf and
+  /// |x / Δh| > 2^62.
   void add(double x);
   void add_all(std::span<const double> xs);
 
   /// Tally `count` samples directly into bin index `bin` — equivalent to
-  /// `count` add() calls with values in that bin (checkpoint restore and
-  /// the flat-counter → histogram handoff of the entropy accumulator).
+  /// `count` add() calls with values in that bin (checkpoint restore).
   void add_cell(std::int64_t bin, std::uint64_t count);
 
   /// Combine with another histogram of the SAME bin width (parallel

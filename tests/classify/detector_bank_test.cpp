@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "classify/adversary.hpp"
@@ -117,6 +118,104 @@ TEST(DetectorBank, ReproducesBatchAdversaryBitForBit) {
       }
       EXPECT_EQ(detector.detection_rate(), cm.detection_rate())
           << detector.name();
+    }
+  }
+}
+
+/// Feed per-class data in random-sized batches (1 to 3 windows long), so
+/// batches straddle windows and armed checkpoints.
+template <typename Consume>
+void feed_random(const std::vector<std::vector<double>>& streams,
+                 std::size_t window, util::Rng& rng, const Consume& consume) {
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    const auto& stream = streams[c];
+    std::size_t offset = 0;
+    while (offset < stream.size()) {
+      const std::size_t batch =
+          1 + static_cast<std::size_t>(rng.uniform(0.0, 3.0 * window));
+      const std::size_t take = std::min(batch, stream.size() - offset);
+      consume(c, std::span<const double>(stream.data() + offset, take));
+      offset += take;
+    }
+  }
+}
+
+TEST(DetectorBank, WholeWindowFeedMatchesPerSampleFeed) {
+  // Batches of one sample never hold a whole window, so the reference bank
+  // runs the per-sample add path only; random batches hand whole windows
+  // to add_windows. Training features, confusions and every checkpoint row
+  // must agree exactly.
+  const std::size_t n = 60;
+  const auto train = two_class_streams(20 * n + 17, 23);
+  const auto test = two_class_streams(15 * n + 29, 79);
+  const std::vector<std::size_t> checkpoints = {1,     n - 1,     n,
+                                                n + 1, 4 * n + 7, 9 * n,
+                                                15 * n + 29};
+
+  std::vector<DetectorSpec> specs;
+  for (const auto mode : {QuantileMode::kExact, QuantileMode::kP2Sketch}) {
+    for (const auto kind : kAllFeatures) {
+      DetectorSpec spec;
+      spec.adversary.window_size = n;
+      spec.adversary.feature = kind;
+      spec.quantile_mode = mode;
+      specs.push_back(spec);
+    }
+  }
+  DetectorSpec fixed_width;  // explicit Δh next to the Scott-rule one
+  fixed_width.adversary.window_size = n;
+  fixed_width.adversary.feature = FeatureKind::kSampleEntropy;
+  fixed_width.adversary.entropy_bin_width = 4e-6;
+  specs.push_back(fixed_width);
+
+  const auto run = [&](DetectorBank& bank, const auto& feeder) {
+    bank.arm_checkpoints(checkpoints);
+    if (bank.needs_prepass()) {
+      feeder(train, [&](std::size_t, std::span<const double> b) {
+        bank.consume_prepass(b);
+      });
+      bank.finish_prepass();
+    }
+    feeder(train, [&](std::size_t c, std::span<const double> b) {
+      bank.consume_training(c, b);
+    });
+    bank.train();
+    feeder(test, [&](std::size_t c, std::span<const double> b) {
+      bank.consume_test(c, b);
+    });
+  };
+
+  DetectorBank per_sample(specs, 2);
+  run(per_sample, [](const auto& streams, const auto& consume) {
+    feed(streams, 1, consume);
+  });
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Rng rng(seed);
+    DetectorBank whole_windows(specs, 2);
+    run(whole_windows, [&](const auto& streams, const auto& consume) {
+      feed_random(streams, n, rng, consume);
+    });
+
+    for (std::size_t d = 0; d < specs.size(); ++d) {
+      const auto& got = whole_windows.detector(d);
+      const auto& want = per_sample.detector(d);
+      const std::string label = got.name() + " seed " + std::to_string(seed);
+      EXPECT_EQ(got.training_features(), want.training_features()) << label;
+      for (std::size_t i = 0; i < 2; ++i) {
+        for (std::size_t j = 0; j < 2; ++j) {
+          const auto ci = static_cast<ClassLabel>(i);
+          const auto cj = static_cast<ClassLabel>(j);
+          EXPECT_EQ(got.confusion().count(ci, cj),
+                    want.confusion().count(ci, cj))
+              << label;
+          for (const std::size_t m : checkpoints) {
+            EXPECT_EQ(got.confusion_at(m).count(ci, cj),
+                      want.confusion_at(m).count(ci, cj))
+                << label << " checkpoint " << m;
+          }
+        }
+      }
     }
   }
 }

@@ -11,10 +11,12 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classify/feature.hpp"
 #include "classify/window_accumulator.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace linkpad::classify {
@@ -114,6 +116,87 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, FeatureFuzz,
                            std::replace(name.begin(), name.end(), ' ', '_');
                            return name;
                          });
+
+/// Every FeatureKind in every QuantileMode.
+std::vector<std::pair<FeatureKind, QuantileMode>> all_accumulator_kinds() {
+  std::vector<std::pair<FeatureKind, QuantileMode>> kinds;
+  for (const auto mode : {QuantileMode::kExact, QuantileMode::kP2Sketch}) {
+    for (const auto kind :
+         {FeatureKind::kSampleMean, FeatureKind::kSampleVariance,
+          FeatureKind::kSampleEntropy, FeatureKind::kMedianAbsDeviation,
+          FeatureKind::kInterquartileRange}) {
+      kinds.emplace_back(kind, mode);
+    }
+  }
+  return kinds;
+}
+
+TEST(FeatureFuzz, WholeWindowKernelsMatchPerWindowPath) {
+  // add_windows runs dedicated kernels (mean and variance interleave up to
+  // four windows); window counts 1–9 hit every 4/2/1 lane remainder. Each
+  // value must be bitwise the per-window add_span / value / reset result,
+  // and the accumulator must come back reset.
+  util::Rng rng(0x3a11);
+  for (const auto& [kind, mode] : all_accumulator_kinds()) {
+    for (std::size_t windows = 1; windows <= 9; ++windows) {
+      for (std::size_t trial = 0; trial < 8; ++trial) {
+        const std::size_t n =
+            2 + static_cast<std::size_t>(rng.uniform(0.0, 150.0));
+        std::vector<double> xs;
+        for (std::size_t w = 0; w < windows; ++w) {
+          const auto window = random_window(rng, n);
+          xs.insert(xs.end(), window.begin(), window.end());
+        }
+        AccumulatorOptions options;
+        options.entropy_bin_width = rng.uniform(1e-7, 1e-3);
+        options.quantile_mode = mode;
+        const std::string label =
+            feature_name(kind) +
+            (mode == QuantileMode::kP2Sketch ? " P2" : "") + " windows " +
+            std::to_string(windows) + " n " + std::to_string(n);
+
+        auto reference = make_window_accumulator(kind, options);
+        std::vector<double> expected;
+        for (std::size_t w = 0; w < windows; ++w) {
+          reference->add_span(std::span<const double>(xs).subspan(w * n, n));
+          expected.push_back(reference->value());
+          reference->reset();
+        }
+
+        // Twice on one accumulator: the kernel must leave no state behind.
+        auto kernel = make_window_accumulator(kind, options);
+        for (int pass = 0; pass < 2; ++pass) {
+          std::vector<double> values = {-1.0};  // appended to, not replaced
+          kernel->add_windows(xs, n, values);
+          ASSERT_EQ(values.size(), windows + 1) << label;
+          EXPECT_EQ(values[0], -1.0) << label;
+          EXPECT_EQ(kernel->count(), 0u) << label;
+          for (std::size_t w = 0; w < windows; ++w) {
+            expect_bitwise(values[w + 1], expected[w],
+                           label + " window " + std::to_string(w));
+          }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(FeatureFuzz, WholeWindowEntryPointRejectsMisuse) {
+  AccumulatorOptions options;
+  options.entropy_bin_width = 1e-4;
+  const std::vector<double> xs(12, 0.01);
+  std::vector<double> values;
+  for (const auto& [kind, mode] : all_accumulator_kinds()) {
+    options.quantile_mode = mode;
+    auto acc = make_window_accumulator(kind, options);
+    // Not a whole number of windows.
+    EXPECT_THROW(acc->add_windows(xs, 5, values), linkpad::ContractViolation);
+    // A partial window is pending.
+    acc->add(0.01);
+    EXPECT_THROW(acc->add_windows(xs, 4, values), linkpad::ContractViolation);
+  }
+}
 
 TEST(FeatureFuzz, SketchedQuantilesTrackExactOnRandomStreams) {
   // The P² MAD/IQR accumulators carry a documented ~1% relative tolerance

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "stats/distributions.hpp"
@@ -143,6 +146,67 @@ TEST(WindowAccumulator, EntropyRequiresBinWidth) {
     EXPECT_NE(std::string(e.what()).find("entropy_bin_width"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(WindowAccumulator, EntropyOfFarApartBinsSpillsInsteadOfSpanningTheRange) {
+  // Two samples 2^40 bins apart: counts spanning the whole occupied range
+  // would need ~8 TB. The far bin must go to the spill, and the estimate
+  // must still equal the batch feature bit for bit.
+  const double width = 1.0;
+  const std::vector<double> pair = {0.5, 0x1p40 + 0.5};
+  // A bulk around zero with far-out bins on both sides: the spill must be
+  // read below and above the dense run in ascending bin order.
+  std::vector<std::vector<double>> windows = {pair};
+  util::Rng rng(12);
+  for (int i = 0; i < 20; ++i) {
+    std::vector<double> window = piat_like_stream(200, 11 + i);
+    for (auto& x : window) x = (x - 10e-3) * 1e6;  // ~N(0, 10²), bins of 1
+    for (int far = 0; far < 12; ++far) {
+      const double side = far % 2 == 0 ? -1.0 : 1.0;
+      const double x = side * std::floor(rng.uniform(1e3, 0x1p41));
+      const int copies = 1 + static_cast<int>(rng.uniform(0.0, 3.0));
+      window.insert(window.end(), static_cast<std::size_t>(copies), x);
+    }
+    windows.push_back(window);
+  }
+
+  for (const auto bias :
+       {stats::EntropyBias::kNone, stats::EntropyBias::kMillerMadow,
+        stats::EntropyBias::kModdemeijer}) {
+    AccumulatorOptions options;
+    options.entropy_bin_width = width;
+    options.entropy_bias = bias;
+    for (const auto& window : windows) {
+      const SampleEntropyFeature feature(width, bias);
+      auto acc = make_window_accumulator(FeatureKind::kSampleEntropy, options);
+      acc->add_span(window);
+      EXPECT_EQ(acc->value(), feature.extract(window));
+
+      acc->reset();
+      std::vector<double> values;
+      acc->add_windows(window, window.size(), values);
+      ASSERT_EQ(values.size(), 1u);
+      EXPECT_EQ(values[0], feature.extract(window));
+    }
+  }
+}
+
+TEST(WindowAccumulator, EntropyRejectsValuesWithoutABinIndex) {
+  AccumulatorOptions options;
+  options.entropy_bin_width = 1e-3;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 1e300,
+                           -1e300}) {
+    auto acc = make_window_accumulator(FeatureKind::kSampleEntropy, options);
+    EXPECT_THROW(acc->add(bad), std::invalid_argument) << bad;
+    const std::vector<double> window = {0.01, bad};
+    EXPECT_THROW(acc->add_span(window), std::invalid_argument) << bad;
+    acc->reset();
+    std::vector<double> values;
+    EXPECT_THROW(acc->add_windows(window, 2, values), std::invalid_argument)
+        << bad;
   }
 }
 

@@ -634,6 +634,37 @@ TEST(ShardParse, FormatVersionDriftIsALoudError) {
   }
 }
 
+TEST(ShardParse, DeeplyNestedInputIsALoudErrorNotAStackOverflow) {
+  // 100k nested brackets would recurse 100k frames deep in an uncapped
+  // recursive-descent parser. The depth cap must turn them into the named
+  // error, as a header line and as a chunk line after a valid header.
+  const std::string arrays(100000, '[');
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  const auto shards = run_all_shards(shard_spec(4, 3), 1, 1, 1);
+  const std::string text = serialize_shard(shards[0]);
+  const std::string header = text.substr(0, text.find('\n') + 1);
+  for (const std::string& bad :
+       {arrays, objects, header + arrays + "\n", header + objects + "\n"}) {
+    try {
+      (void)parse_shard(bad);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("nesting deeper than"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  // Nesting within the cap parses; the array then fails the schema instead.
+  try {
+    (void)parse_shard(std::string(64, '[') + std::string(64, ']'));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_EQ(std::string(err.what()).find("nesting"), std::string::npos)
+        << err.what();
+  }
+}
+
 TEST(ShardCheckpoint, BytesIndependentOfThreadCount) {
   // The checkpoint file is a pure function of (spec, shard coordinates):
   // thread count must not leak into the bytes.

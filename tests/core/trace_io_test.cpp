@@ -6,7 +6,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -186,6 +188,45 @@ TEST_F(TraceIoTest, CsvAcceptsSubnormalValues) {
     // Line 1 (the subnormal) parses; line 2 (overflow) is the error.
     EXPECT_NE(std::string(e.what()).find("tiny.csv:2"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST_F(TraceIoTest, CsvNonFiniteValuesNameFileAndLine) {
+  // strtod parses "nan" and "inf", but neither is an inter-arrival time:
+  // each must fail with the malformed-value diagnostic at its own line.
+  for (const std::string bad : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    std::ofstream out(path("nonfinite.csv"));
+    out << "# banner\n0.01\n" << bad << "\n0.02\n";
+    out.close();
+    try {
+      (void)load_trace_csv(path("nonfinite.csv"));
+      FAIL() << bad << " must not load";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nonfinite.csv:3"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST_F(TraceIoTest, BinaryNonFinitePiatNamesItsIndex) {
+  // The binary payload is raw bit patterns: a NaN or infinity written by a
+  // foreign tool (or a flipped exponent) must be refused, naming the PIAT.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Trace t = sample_trace();
+    t.piats[3] = bad;
+    save_trace_binary(path("nonfinite.lpt"), t);
+    try {
+      (void)load_trace_binary(path("nonfinite.lpt"));
+      FAIL() << bad << " must not load";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite PIAT at index 3"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("nonfinite.lpt"), std::string::npos) << what;
+    }
   }
 }
 

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -115,6 +120,55 @@ TEST(SparseHistogram, OutliersGetOwnDistantBins) {
   h.add(5.0);  // far outlier must not be clamped
   EXPECT_EQ(h.occupied_bins(), 2u);
   EXPECT_EQ(h.cells().at(5000), 1u);
+}
+
+TEST(BinIndex, EqualsFloorOfTheQuotient) {
+  // Truncating and stepping down must give std::floor's integer for every
+  // in-range quotient: negative non-integers, exact integers, signed zero,
+  // and quotients at and beyond 2^52 where every double is an integer.
+  util::Rng rng(20030324);
+  std::vector<double> xs = {0.0,   -0.0,  1.0,    -1.0,  0.5,
+                            -0.5,  2.999, -2.999, 1e-300, -1e-300,
+                            0x1p52, -0x1p52, 0x1p52 + 1.0, -0x1p52 - 1.0,
+                            0x1p62, -0x1p62, 4.6e18, -4.6e18};
+  for (int i = 0; i < 2000; ++i) xs.push_back(rng.uniform(-1e6, 1e6));
+  for (const double x : xs) {
+    EXPECT_EQ(bin_index(x, 1.0), static_cast<std::int64_t>(std::floor(x)))
+        << x;
+  }
+  for (const double width : {3e-6, 0.7, 1e3}) {
+    for (int i = 0; i < 2000; ++i) {
+      const double x = rng.uniform(-5e-2, 5e-2);
+      EXPECT_EQ(bin_index(x, width),
+                static_cast<std::int64_t>(std::floor(x / width)))
+          << x << " / " << width;
+    }
+  }
+}
+
+TEST(BinIndex, RejectsQuotientsWithoutAnIntegerBin) {
+  // NaN, ±inf and |x / Δh| > 2^62 have no int64 bin (converting them is
+  // undefined behaviour); both the helper and SparseHistogram::add must
+  // throw the named error instead.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 1e300,
+                           -1e300, 0x1p62 * 1.0000001}) {
+    EXPECT_THROW((void)bin_index(bad, 1.0), std::invalid_argument) << bad;
+    SparseHistogram h(1.0);
+    EXPECT_THROW(h.add(bad), std::invalid_argument) << bad;
+    EXPECT_EQ(h.total(), 0u);
+  }
+  // A finite x can still overflow through a tiny width.
+  EXPECT_THROW((void)bin_index(1.0, 1e-300), std::invalid_argument);
+  try {
+    (void)bin_index(std::numeric_limits<double>::quiet_NaN(), 1e-3);
+    FAIL() << "NaN must not get a bin";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("stats::bin_index"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SparseHistogram, TotalMatchesAdds) {
