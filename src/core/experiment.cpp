@@ -570,12 +570,6 @@ SweepReport SweepRunner::run(
         for (std::size_t i = 0; i < count; ++i) run_point(engine, i);
         return;
       }
-      case util::ExecutionPolicy::kMultithread: {
-        const ExperimentEngine engine(*backend_, options_.batch_piats);
-        util::parallel_for(
-            pool, count, [&](std::size_t i) { run_point(engine, i); }, grain);
-        return;
-      }
       case util::ExecutionPolicy::kChunked: {
         // One engine per worker slot, alive across every chunk the slot
         // drains — the scratch-reuse shape PopulationEngine builds on.

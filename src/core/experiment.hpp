@@ -262,16 +262,15 @@ struct SweepOptions {
   /// PIAT pull size per PiatSource::collect call.
   std::size_t batch_piats = 8192;
   /// Dispatch shape (util::ExecutionPolicy): kSerial runs every point
-  /// inline on the caller, kMultithread submits one pool task per point,
-  /// kChunked drains grain-sized runs of points per pool task with one
-  /// ExperimentEngine per worker slot. Results are bit-identical under
-  /// every policy — the choice selects a schedule, not a computation.
+  /// inline on the caller, kChunked drains grain-sized runs of points per
+  /// pool task with one ExperimentEngine per worker slot. Results are
+  /// bit-identical under every policy — the choice selects a schedule, not
+  /// a computation.
   util::ExecutionPolicy execution = util::ExecutionPolicy::kChunked;
-  /// Points handed to a worker per claim under kChunked (and the
-  /// parallel_for grain under kMultithread). 0 = policy default: 1 for
-  /// sweeps, a flow-count-derived grain for PopulationEngine. The chunk
-  /// partition derives from (count, grain) only, so grain never perturbs
-  /// results either.
+  /// Points handed to a worker per claim under kChunked. 0 = policy
+  /// default: 1 for sweeps, a flow-count-derived grain for
+  /// PopulationEngine. The chunk partition derives from (count, grain)
+  /// only, so grain never perturbs results either.
   std::size_t grain = 0;
   /// Process-sharding of a population campaign (DESIGN.md §2.10): this
   /// process claims chunk c of the (flows, grain) partition iff

@@ -143,6 +143,15 @@ void validate_spec(const PopulationSpec& spec) {
   } else {
     LINKPAD_EXPECTS(spec.sample_round == 0);
   }
+  // No population aggregate reads extra detectors and shard files do not
+  // carry their outcomes, so a campaign that attached one would lose it
+  // at the first shard merge.
+  if (!spec.experiment.plan.extra_detectors.empty()) {
+    throw std::invalid_argument(
+        "PopulationSpec: experiment.plan.extra_detectors is not supported — "
+        "no population aggregate reads them and shard files do not carry "
+        "them");
+  }
 }
 
 }  // namespace

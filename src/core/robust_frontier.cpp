@@ -8,8 +8,27 @@
 #include <utility>
 
 #include "analysis/overhead.hpp"
-#include "core/shard_io.hpp"
+#include "core/wire.hpp"
 #include "util/check.hpp"
+
+namespace linkpad::core::wire {
+
+template <class V, Is<RobustFrontierPoint> T>
+void fields(V& v, T& p) {
+  v("policy", p.policy);
+  v("overhead_bps", p.overhead_bps);
+  v("wire_bps", p.wire_bps);
+  v("dummy_fraction", p.dummy_fraction);
+  v("delay_p95", p.delay_p95);
+  v("fixed_detection", p.fixed_detection);
+  v("tuned_detection", p.tuned_detection);
+  v("winner", p.winner);
+  v("winner_label", p.winner_label);
+  v("selection_score", p.selection_score);
+  v("pareto", p.pareto_efficient);
+}
+
+}  // namespace linkpad::core::wire
 
 namespace linkpad::core {
 
@@ -127,27 +146,6 @@ class StoredCaptureBackend final : public ExperimentBackend {
   std::uint64_t seed_;
   std::vector<std::array<StoredStream, 2>> streams_;  ///< [class][salt − 1]
 };
-
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  out.push_back('"');
-}
-
-void append_hex_double(std::string& out, double x) {
-  out.push_back('"');
-  out += encode_double(x);
-  out.push_back('"');
-}
 
 }  // namespace
 
@@ -375,41 +373,11 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
 
 std::string robust_frontier_json(const RobustFrontierResult& result) {
   std::string out;
-  out += "{\"version\":1,\"points\":[";
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const RobustFrontierPoint& p = result.points[i];
-    if (i > 0) out.push_back(',');
-    out += "{\"policy\":";
-    append_json_string(out, p.policy);
-    out += ",\"overhead_bps\":";
-    append_hex_double(out, p.overhead_bps);
-    out += ",\"wire_bps\":";
-    append_hex_double(out, p.wire_bps);
-    out += ",\"dummy_fraction\":";
-    append_hex_double(out, p.dummy_fraction);
-    out += ",\"delay_p95\":";
-    append_hex_double(out, p.delay_p95);
-    out += ",\"fixed_detection\":";
-    append_hex_double(out, p.fixed_detection);
-    out += ",\"tuned_detection\":";
-    append_hex_double(out, p.tuned_detection);
-    out += ",\"winner\":";
-    out += std::to_string(p.winner);
-    out += ",\"winner_label\":";
-    append_json_string(out, p.winner_label);
-    out += ",\"selection_score\":";
-    append_hex_double(out, p.selection_score);
-    out += ",\"pareto\":";
-    out += p.pareto_efficient ? "true" : "false";
-    out.push_back('}');
-  }
-  out += "],\"front\":[";
-  const auto front = result.front();
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += std::to_string(front[i]);
-  }
-  out += "]}";
+  wire::Writer writer(out);
+  writer("version", 1u);
+  writer("points", result.points);
+  writer("front", result.front());
+  writer.close();
   return out;
 }
 

@@ -167,8 +167,8 @@ struct RobustFrontierResult {
     SweepOptions options = {});
 
 /// Canonical byte-diffable serialization of a robust-frontier result:
-/// single-line JSON, every double as its 16-hex-digit IEEE-754 bit
-/// pattern (shard_io::encode_double discipline). Two runs agree iff the
+/// single-line JSON through the shard files' writer (core/wire.hpp), every
+/// double as its 16-hex-digit IEEE-754 bit pattern. Two runs agree iff the
 /// strings are equal — the thread-count bit-identity tests diff exactly
 /// this.
 [[nodiscard]] std::string robust_frontier_json(

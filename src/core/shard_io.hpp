@@ -1,7 +1,7 @@
 // Process sharding for population campaigns (DESIGN.md §2.10).
 //
-// PR 6 made the population reduction a fold over mergeable ChunkAggregates
-// whose merge is ordered concatenation — exact, associative, and a pure
+// The population reduction is a fold over mergeable ChunkAggregates whose
+// merge is ordered concatenation — exact, associative, and a pure
 // function of the (flows, grain) chunk partition. That turns process-level
 // scale-out into a serialization problem: a shard worker computes the
 // chunks with id ≡ shard_index (mod shard_count), writes them to a durable
@@ -16,13 +16,14 @@
 //            finalize needs (sample-size axis, detection threshold, the
 //            policy's mean timer interval, seed, keep_per_flow);
 //   line 2+: one object per completed ChunkAggregate, in chunk-id order.
-// EVERY double crosses the file as the 16-hex-digit IEEE-754 bit pattern
-// of its value (never printf'd as decimal), so deserialize(serialize(x))
-// is bitwise == x — including ±inf fold identities and P²-grade values a
-// %.17g round-trip could still perturb on exotic libcs. The file is only
-// ever replaced atomically (write temp, fsync, rename), reusing the PR-3
-// checkpoint discipline: a reader sees the previous complete file or the
-// new complete file, never a torn one.
+// Every line is written and read through core/wire.hpp from one field list
+// per struct, and EVERY double crosses the file as the 16-hex-digit
+// IEEE-754 bit pattern of its value (never printf'd as decimal), so
+// deserialize(serialize(x)) is bitwise == x — including ±inf fold
+// identities and P²-grade values a %.17g round-trip could still perturb on
+// exotic libcs. The file is only ever replaced atomically (write temp,
+// flush, rename): a reader sees the previous complete file or the new
+// complete file, never a torn one.
 #pragma once
 
 #include <cstdint>
@@ -32,28 +33,17 @@
 #include <vector>
 
 #include "core/population.hpp"
-#include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
-#include "stats/quantile_sketch.hpp"
+#include "core/wire.hpp"  // encode_double / decode_double
 
 namespace linkpad::core {
 
 /// Version stamp of the shard serialization format. Bump on ANY change to
-/// the schema below; merge and resume refuse mismatched versions instead
-/// of guessing. v2 added the sampled-subset fields (sample_flows,
-/// sample_round) to the header; v3 added the change-point fields to chunk
-/// lines (cpd_kinds + per-flow FlowCpd rows) and the `cpd` array to
-/// serialized ExperimentResults / SampleSizePoints.
+/// the field lists in shard_io.cpp; merge and resume refuse mismatched
+/// versions instead of guessing. v2 added the sampled-subset fields
+/// (sample_flows, sample_round) to the header; v3 added the change-point
+/// fields to chunk lines (cpd_kinds + per-flow FlowCpd rows) and the `cpd`
+/// array to serialized ExperimentResults / SampleSizePoints.
 inline constexpr std::uint64_t kShardFormatVersion = 3;
-
-// ------------------------------------------------------------ exact doubles
-
-/// The 16-hex-digit bit pattern of `x` ("3fe0000000000000"). Total order on
-/// the bits, not the value: NaN payloads, signed zeros and ±inf all survive.
-[[nodiscard]] std::string encode_double(double x);
-
-/// Inverse of encode_double. Throws std::invalid_argument on malformed hex.
-[[nodiscard]] double decode_double(const std::string& hex);
 
 // ------------------------------------------------------------- shard model
 
@@ -88,26 +78,9 @@ struct PopulationShard {
   /// Chunk ids this shard is responsible for: {c : c ≡ shard_index (mod
   /// shard_count)} over the (executed_flows, grain) partition, ascending.
   [[nodiscard]] std::vector<std::size_t> owned_chunk_ids() const;
-
-  /// True when `other` describes the same campaign (all header fields
-  /// except shard_index equal) — the merge compatibility check.
-  [[nodiscard]] bool same_campaign(const PopulationShard& other) const;
 };
 
-/// Header for a (spec, options) pair — chunk list empty. `options` supplies
-/// shard_index / shard_count / grain.
-[[nodiscard]] PopulationShard make_shard_header(const PopulationSpec& spec,
-                                                const SweepOptions& options);
-
 // ---------------------------------------------------------- serialization
-
-/// One-line JSON of the shard header (no trailing newline).
-[[nodiscard]] std::string serialize_shard_header(const PopulationShard& shard);
-
-/// One-line JSON of one chunk aggregate (no trailing newline). `chunk_id`
-/// is recorded explicitly so resume bookkeeping never re-derives it.
-[[nodiscard]] std::string serialize_chunk(std::size_t chunk_id,
-                                          const ChunkAggregate& chunk);
 
 /// Whole shard file body: header line + chunk lines (ascending chunk id) +
 /// trailing newline. Byte-deterministic: a pure function of the shard's
@@ -120,10 +93,6 @@ struct PopulationShard {
 /// line before it is kept. Chunks are returned sorted by chunk id.
 [[nodiscard]] PopulationShard parse_shard(const std::string& text,
                                           bool tolerate_partial_tail = false);
-
-/// Atomically replace `path` with the serialized shard (write `path`.tmp,
-/// flush, rename). The rename is the commit point.
-void write_shard_file(const std::string& path, const PopulationShard& shard);
 
 /// Read + parse a shard file. See parse_shard for `tolerate_partial_tail`.
 [[nodiscard]] PopulationShard read_shard_file(const std::string& path,
@@ -182,32 +151,6 @@ struct ShardRunOptions {
 /// read_shard_file over every path, then merge_shards.
 [[nodiscard]] PopulationResult merge_shard_files(
     const std::vector<std::string>& paths);
-
-// ------------------------------------------------------- stats state JSON
-
-// One-line JSON round-trips of the checkpointable statistics state — the
-// same hex-double discipline as the shard format, exposed for tests and
-// for tools that persist partially-fed accumulators. parse(serialize(x))
-// is bitwise-equal to x for every reachable state, including empty
-// sketches and the ±inf min/max fold identities.
-
-[[nodiscard]] std::string serialize_quantile_state(
-    const stats::P2Quantile::State& state);
-[[nodiscard]] stats::P2Quantile::State parse_quantile_state(
-    const std::string& text);
-
-[[nodiscard]] std::string serialize_running_stats(
-    const stats::RunningStats::State& state);
-[[nodiscard]] stats::RunningStats::State parse_running_stats(
-    const std::string& text);
-
-[[nodiscard]] std::string serialize_histogram(const stats::Histogram& h);
-[[nodiscard]] stats::Histogram parse_histogram(const std::string& text);
-
-[[nodiscard]] std::string serialize_sparse_histogram(
-    const stats::SparseHistogram& h);
-[[nodiscard]] stats::SparseHistogram parse_sparse_histogram(
-    const std::string& text);
 
 // ------------------------------------------------------------- result JSON
 

@@ -65,32 +65,6 @@ class RunningStats {
   /// fork() exists so call sites read as intent.
   [[nodiscard]] RunningStats fork() const { return *this; }
 
-  /// The complete moment state for serialization (core/shard_io):
-  /// from_state(x.state()) == x bit for bit, mid-stream included.
-  struct State {
-    std::size_t count = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double m3 = 0.0;
-    double m4 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  [[nodiscard]] State state() const {
-    return State{n_, mean_, m2_, m3_, m4_, min_, max_};
-  }
-  [[nodiscard]] static RunningStats from_state(const State& state) {
-    RunningStats out;
-    out.n_ = state.count;
-    out.mean_ = state.mean;
-    out.m2_ = state.m2;
-    out.m3_ = state.m3;
-    out.m4_ = state.m4;
-    out.min_ = state.min;
-    out.max_ = state.max;
-    return out;
-  }
-
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;
   /// Unbiased sample variance (n−1 denominator), eq. (19).

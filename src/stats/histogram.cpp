@@ -36,19 +36,6 @@ Histogram Histogram::from_data(std::span<const double> xs, std::size_t bins) {
   return h;
 }
 
-Histogram Histogram::from_state(double lo, double hi,
-                                std::vector<std::uint64_t> counts,
-                                std::uint64_t underflow,
-                                std::uint64_t overflow) {
-  Histogram h(lo, hi, counts.size());
-  h.counts_ = std::move(counts);
-  h.underflow_ = underflow;
-  h.overflow_ = overflow;
-  h.total_ = underflow + overflow;
-  for (const std::uint64_t c : h.counts_) h.total_ += c;
-  return h;
-}
-
 void Histogram::add(double x) {
   ++total_;
   if (x < lo_) {
@@ -111,20 +98,6 @@ void SparseHistogram::add(double x) {
 
 void SparseHistogram::add_all(std::span<const double> xs) {
   for (double x : xs) add(x);
-}
-
-void SparseHistogram::add_cell(std::int64_t bin, std::uint64_t count) {
-  if (count == 0) return;
-  counts_[bin] += count;
-  total_ += count;
-}
-
-SparseHistogram SparseHistogram::from_cells(
-    double bin_width,
-    const std::vector<std::pair<std::int64_t, std::uint64_t>>& cells) {
-  SparseHistogram h(bin_width);
-  for (const auto& [bin, count] : cells) h.add_cell(bin, count);
-  return h;
 }
 
 void SparseHistogram::merge(const SparseHistogram& other) {

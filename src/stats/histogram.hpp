@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace linkpad::stats {
@@ -53,13 +52,6 @@ class Histogram {
 
   /// Build from data with range [min(data), max(data)] padded slightly.
   static Histogram from_data(std::span<const double> xs, std::size_t bins);
-
-  /// Rebuild from serialized state (core/shard_io): the exact counts of a
-  /// partially-filled histogram. `total` is recomputed (it is always the
-  /// sum of bin counts plus under/overflow), so counts are the whole state.
-  static Histogram from_state(double lo, double hi,
-                              std::vector<std::uint64_t> counts,
-                              std::uint64_t underflow, std::uint64_t overflow);
 
   void add(double x);
   void add_all(std::span<const double> xs);
@@ -110,10 +102,6 @@ class SparseHistogram {
   void add(double x);
   void add_all(std::span<const double> xs);
 
-  /// Tally `count` samples directly into bin index `bin` — equivalent to
-  /// `count` add() calls with values in that bin (checkpoint restore).
-  void add_cell(std::int64_t bin, std::uint64_t count);
-
   /// Combine with another histogram of the SAME bin width (parallel
   /// reduction step for the streaming entropy accumulator).
   void merge(const SparseHistogram& other);
@@ -122,12 +110,6 @@ class SparseHistogram {
   /// are integers, so a fork resumed with the same suffix stays exactly
   /// equal to the uninterrupted original — entropy checkpoints are lossless.
   [[nodiscard]] SparseHistogram fork() const { return *this; }
-
-  /// Rebuild from serialized (bin, count) cells (core/shard_io) — the
-  /// inverse of iterating cells(); exact because counts are integers.
-  static SparseHistogram from_cells(
-      double bin_width,
-      const std::vector<std::pair<std::int64_t, std::uint64_t>>& cells);
 
   [[nodiscard]] double bin_width() const { return width_; }
   [[nodiscard]] std::uint64_t total() const { return total_; }

@@ -116,27 +116,6 @@ void P2Quantile::merge(const P2Quantile& other) {
   }
 }
 
-P2Quantile::State P2Quantile::state() const {
-  State out;
-  out.quantile = q_;
-  out.count = n_;
-  out.heights = heights_;
-  out.positions = pos_;
-  out.desired = desired_;
-  out.rate = rate_;
-  return out;
-}
-
-P2Quantile P2Quantile::from_state(const State& state) {
-  P2Quantile sketch(state.quantile);
-  sketch.n_ = state.count;
-  sketch.heights_ = state.heights;
-  sketch.pos_ = state.positions;
-  sketch.desired_ = state.desired;
-  sketch.rate_ = state.rate;
-  return sketch;
-}
-
 double P2Quantile::value() const {
   LINKPAD_EXPECTS(n_ > 0);
   if (n_ <= 5) {

@@ -57,23 +57,6 @@ class P2Quantile {
   /// MAD/IQR detector can be checkpointed mid-window and resumed.
   [[nodiscard]] P2Quantile fork() const { return *this; }
 
-  /// The complete marker state — every field a bitwise round-trip needs.
-  /// `state()`/`from_state` are the serialization hooks behind shard
-  /// checkpoint files (core/shard_io): from_state(x.state()) == x bit for
-  /// bit, including a mid-stream sketch whose markers have drifted.
-  struct State {
-    double quantile = 0.5;
-    std::size_t count = 0;
-    std::array<double, 5> heights{};
-    std::array<double, 5> positions{};
-    std::array<double, 5> desired{};
-    std::array<double, 5> rate{};
-  };
-  [[nodiscard]] State state() const;
-
-  /// Rebuild a sketch from a snapshot. Expects state.quantile in (0, 1).
-  [[nodiscard]] static P2Quantile from_state(const State& state);
-
  private:
   double q_;
   std::size_t n_ = 0;

@@ -42,9 +42,6 @@ enum class ExecutionPolicy {
   /// Inline on the calling thread; no pool, no atomics. The reference
   /// schedule every parallel policy is bit-compared against.
   kSerial,
-  /// One logical task per index over a pool (parallel_for). The right shape
-  /// for few, expensive, uneven items (sweep points).
-  kMultithread,
   /// Chunked dispatch with per-slot scratch reuse and a caller-side
   /// reduction of per-chunk partials (parallel_for_chunks + tree_reduce).
   /// The right shape for many cheap items (population flows).

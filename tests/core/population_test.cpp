@@ -603,5 +603,26 @@ TEST(Population, RejectsMalformedSpecs) {
                ContractViolation);
 }
 
+TEST(Population, RefusesExtraDetectorsByName) {
+  // No aggregate reads an extra detector and shard files do not carry its
+  // outcome, so a campaign must refuse one up front rather than lose it
+  // at the first shard merge.
+  auto spec = small_spec(4);
+  classify::DetectorSpec extra;
+  extra.adversary.feature = classify::FeatureKind::kSampleMean;
+  extra.adversary.window_size = 60;
+  spec.experiment.plan.extra_detectors = {extra};
+  try {
+    (void)PopulationEngine().run(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("extra_detectors"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_THROW((void)PopulationEngine().run_chunks(spec, {0}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace linkpad::core

@@ -1,10 +1,10 @@
 // The shard serialization + merge wall (DESIGN.md §2.10):
 //
 //  1. Exact round-trip — serialize/parse of every aggregate is BITWISE
-//     lossless: 200 seeded-random ChunkAggregates (full ExperimentResults,
-//     confusion counts, optionals, ±inf/−0/NaN-payload doubles) survive a
-//     text round trip with every bit intact, and re-serialization is
-//     byte-identical (the format is canonical).
+//     lossless: 200 seeded-random shards (full ExperimentResults, CPD rows
+//     and outcomes, confusion counts, optionals, ±inf/−0/NaN-payload
+//     doubles) survive a text round trip with every bit intact, and
+//     re-serialization is byte-identical (the format is canonical).
 //  2. N-shard bit-identity — shards {1, 2, 3, 8} × flows {1, 2, 33, 1000}
 //     × grains: run_population_shard per shard, merge_shards once, and the
 //     result (including the order-sensitive P² finalize) equals the
@@ -14,17 +14,26 @@
 //     resumed shard file converges to the uninterrupted bytes exactly.
 //  4. Self-checking merges — missing chunks, foreign campaigns and format
 //     version drift are loud errors, never quietly wrong numbers.
+//  5. Pinned bytes — a golden shard literal and the digest of the seeded
+//     corpus fail on any renamed or reordered key.
+//  6. Hostile input — crafted fields and 10,000 seeded mutations of real
+//     shard text parse or throw std::invalid_argument, nothing else.
 #include "core/shard_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/population.hpp"
@@ -94,6 +103,11 @@ double random_double(util::Rng& rng) {
   // Mostly ordinary magnitudes, with a deliberate seasoning of the edge
   // values a printf-based format would mangle first.
   const double roll = rng.uniform01();
+  if (roll < 0.03) {
+    // A NaN with a random sign and payload: only the bits may cross.
+    const std::uint64_t payload = rng() & 0x8007ffffffffffffULL;
+    return std::bit_cast<double>(0x7ff8000000000000ULL | payload);
+  }
   if (roll < 0.05) return std::numeric_limits<double>::infinity();
   if (roll < 0.10) return -std::numeric_limits<double>::infinity();
   if (roll < 0.14) return -0.0;
@@ -120,6 +134,24 @@ classify::ConfusionMatrix random_confusion(util::Rng& rng) {
     }
   }
   return cm;
+}
+
+classify::CpdOutcome random_cpd_outcome(util::Rng& rng) {
+  classify::CpdOutcome c;
+  c.kind = rng.uniform01() < 0.5 ? classify::CpdKind::kCusum
+                                 : classify::CpdKind::kAdaptiveEwma;
+  c.threshold = random_double(rng);
+  c.ttd.detected = rng.uniform01() < 0.5;
+  c.ttd.n_at_detection = static_cast<std::size_t>(rng.uniform(0.0, 1e5));
+  c.ttd.false_alarms = static_cast<std::size_t>(rng.uniform(0.0, 20.0));
+  return c;
+}
+
+std::vector<classify::CpdOutcome> random_cpd_outcomes(util::Rng& rng) {
+  std::vector<classify::CpdOutcome> out(
+      static_cast<std::size_t>(rng.uniform(0.0, 2.999)));
+  for (auto& c : out) c = random_cpd_outcome(rng);
+  return out;
 }
 
 FeatureOutcome random_feature_outcome(util::Rng& rng) {
@@ -149,6 +181,7 @@ ExperimentResult random_experiment_result(util::Rng& rng,
   for (std::size_t i = 0; i < features; ++i) {
     r.per_feature.push_back(random_feature_outcome(rng));
   }
+  r.cpd = random_cpd_outcomes(rng);
   for (std::size_t i = 0; i < axis_points; ++i) {
     SampleSizePoint p;
     p.sample_size = 10 * (i + 1);
@@ -158,6 +191,7 @@ ExperimentResult random_experiment_result(util::Rng& rng,
     for (std::size_t f = 0; f < features; ++f) {
       p.per_feature.push_back(random_feature_outcome(rng));
     }
+    p.cpd = random_cpd_outcomes(rng);
     r.by_sample_size.push_back(std::move(p));
   }
   if (rng.uniform01() < 0.7) {
@@ -190,6 +224,15 @@ FlowOverhead random_flow_overhead(util::Rng& rng) {
   return o;
 }
 
+FlowCpd random_flow_cpd(util::Rng& rng) {
+  FlowCpd c;
+  c.detected = rng.uniform01() < 0.5;
+  c.n_at_detection = static_cast<std::size_t>(rng.uniform(0.0, 1e5));
+  c.false_alarms = static_cast<std::size_t>(rng.uniform(0.0, 20.0));
+  c.threshold = random_double(rng);
+  return c;
+}
+
 /// A random but internally consistent shard: header + every chunk the
 /// shard owns, each sized by the (flows, grain) partition.
 PopulationShard random_shard(util::Rng& rng) {
@@ -219,6 +262,8 @@ PopulationShard random_shard(util::Rng& rng) {
         rng.uniform01() * static_cast<double>(max_round + 1));
     if (shard.sample_round > max_round) shard.sample_round = max_round;
   }
+  std::vector<classify::CpdKind> cpd_kinds;
+  for (const auto& c : random_cpd_outcomes(rng)) cpd_kinds.push_back(c.kind);
 
   for (const std::size_t id : shard.owned_chunk_ids()) {
     ChunkAggregate chunk;
@@ -229,6 +274,13 @@ PopulationShard random_shard(util::Rng& rng) {
     chunk.rates.resize(axis_points);
     for (auto& row : chunk.rates) {
       for (std::size_t f = 0; f < count; ++f) row.push_back(random_double(rng));
+    }
+    chunk.cpd_kinds = cpd_kinds;
+    chunk.cpd.resize(cpd_kinds.size());
+    for (auto& row : chunk.cpd) {
+      for (std::size_t f = 0; f < count; ++f) {
+        row.push_back(random_flow_cpd(rng));
+      }
     }
     for (std::size_t f = 0; f < count; ++f) {
       chunk.overhead.push_back(random_flow_overhead(rng));
@@ -333,6 +385,20 @@ TEST(ShardRoundTrip, TwoHundredRandomAggregatesSurviveBitwise) {
       for (std::size_t i = 0; i < oc.overhead.size(); ++i) {
         expect_same_overhead(bc.overhead[i], oc.overhead[i], ctag);
       }
+      EXPECT_EQ(bc.cpd_kinds, oc.cpd_kinds) << ctag;
+      ASSERT_EQ(bc.cpd.size(), oc.cpd.size()) << ctag;
+      for (std::size_t i = 0; i < oc.cpd.size(); ++i) {
+        ASSERT_EQ(bc.cpd[i].size(), oc.cpd[i].size()) << ctag;
+        for (std::size_t j = 0; j < oc.cpd[i].size(); ++j) {
+          EXPECT_EQ(bc.cpd[i][j].detected, oc.cpd[i][j].detected) << ctag;
+          EXPECT_EQ(bc.cpd[i][j].n_at_detection, oc.cpd[i][j].n_at_detection)
+              << ctag;
+          EXPECT_EQ(bc.cpd[i][j].false_alarms, oc.cpd[i][j].false_alarms)
+              << ctag;
+          expect_bits(bc.cpd[i][j].threshold, oc.cpd[i][j].threshold,
+                      ctag + " cpd threshold");
+        }
+      }
       ASSERT_EQ(bc.per_flow.size(), oc.per_flow.size()) << ctag;
       for (std::size_t i = 0; i < oc.per_flow.size(); ++i) {
         expect_same_result_bits(bc.per_flow[i], oc.per_flow[i], ctag);
@@ -344,82 +410,73 @@ TEST(ShardRoundTrip, TwoHundredRandomAggregatesSurviveBitwise) {
   }
 }
 
-// --------------------------------------------------- stats state round trip
+// ------------------------------------------------------------ pinned bytes
+//
+// The round trip above checks serialize and parse against each other, so
+// a rename or reorder of a key would pass it. These two tests pin the
+// bytes themselves: any change to them is a format change and needs a
+// kShardFormatVersion bump.
 
-TEST(StatsStateJson, QuantileSketchRoundTripsIncludingEmpty) {
-  {
-    const stats::P2Quantile empty(0.5);
-    const auto state = parse_quantile_state(serialize_quantile_state(empty.state()));
-    EXPECT_EQ(state.count, 0u);
-    stats::P2Quantile a = stats::P2Quantile::from_state(state);
-    stats::P2Quantile b(0.5);
-    for (int i = 0; i < 9; ++i) {
-      a.add(0.1 * i);
-      b.add(0.1 * i);
-    }
-    expect_bits(a.value(), b.value(), "empty sketch continuation");
-  }
-  util::Rng rng(1234);
-  for (int trial = 0; trial < 20; ++trial) {
-    stats::P2Quantile original(0.95);
-    const int samples = trial * 3;  // crosses the exact<=5 regime
-    for (int i = 0; i < samples; ++i) original.add(rng.uniform(0.0, 1.0));
-    const auto state =
-        parse_quantile_state(serialize_quantile_state(original.state()));
-    stats::P2Quantile restored = stats::P2Quantile::from_state(state);
-    for (int i = 0; i < 30; ++i) {
-      const double x = rng.uniform(0.0, 1.0);
-      original.add(x);
-      restored.add(x);
-    }
-    expect_bits(original.value(), restored.value(),
-                "trial " + std::to_string(trial));
-  }
+// A header and one keep_per_flow chunk with CPD rows, a null `predicted`,
+// ±inf and −0, as format version 3 writes them.
+const std::string kGoldenShard =
+    R"({"linkpad_shard":3,"shard_index":1,"shard_count":2,"flows":4,"grain":1,)"
+    R"("sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detection_thr)"
+    R"(eshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed":20)"
+    R"(030324,"keep_per_flow":true})"
+    "\n"
+    R"({"chunk":1,"first_flow":1,"rates":[["3fe0000000000000"],["7ff0000000000)"
+    R"(000"]],"overhead":[{"has_cost":true,"padding_bps":"41024f8000000000","w)"
+    R"(ire_bps":"41286a0000000000","dummy_fraction":"8000000000000000","has_de)"
+    R"(lay":false,"delay_p95":"0000000000000000"}],"cpd_kinds":[0,1],"cpd":[[{)"
+    R"("detected":true,"n_at_detection":137,"false_alarms":2,"threshold":"4011)"
+    R"(000000000000"}],[{"detected":false,"n_at_detection":0,"false_alarms":0,)"
+    R"("threshold":"7ff0000000000000"}]],"per_flow":[{"rate":"3fee000000000000)"
+    R"(","ci":{"estimate":"3fee000000000000","lo":"8000000000000000","hi":"3ff)"
+    R"(0000000000000"},"confusion":{"classes":2,"counts":[7,1,0,8]},"r_hat":"f)"
+    R"(ff0000000000000","predicted":null,"piat":["3f847ae147ae147b","3f847ae14)"
+    R"(7ae147b","3e112e0be826d695","3e312e0be826d695"],"per_feature":[{"featur)"
+    R"(e":2,"rate":"3fe0000000000000","ci":{"estimate":"3fe0000000000000","lo")"
+    R"(:"3fd0000000000000","hi":"3fe8000000000000"},"confusion":{"classes":2,")"
+    R"(counts":[0,0,0,0]},"predicted":"3fe4000000000000"}],"cpd":[{"kind":0,"t)"
+    R"(hreshold":"4011000000000000","detected":true,"n_at_detection":137,"fals)"
+    R"(e_alarms":2}],"by_sample_size":[{"n":40,"train":3,"test":2,"r_hat":"7ff)"
+    R"(0000000000000","per_feature":[{"feature":2,"rate":"3fe0000000000000","c)"
+    R"(i":{"estimate":"3fe0000000000000","lo":"3fd0000000000000","hi":"3fe8000)"
+    R"(000000000"},"confusion":{"classes":2,"counts":[0,0,0,0]},"predicted":"3)"
+    R"(fe4000000000000"}],"cpd":[{"kind":0,"threshold":"4011000000000000","det)"
+    R"(ected":true,"n_at_detection":137,"false_alarms":2}]}],"overhead_per_cla)"
+    R"(ss":[{"payload":1000,"dummy":250,"suppressed":3,"wire_bps":"41286a00000)"
+    R"(00000","padding_bps":"41024f8000000000","dummy_fraction":"3fc9999999999)"
+    R"(99a","delay_mean":"3f50624dd2f1a9fc","delay_p50":"3f40624dd2f1a9fc","de)"
+    R"(lay_p95":"8000000000000000","delay_p99":"7ff0000000000000"}]}]})"
+    "\n";
+
+TEST(ShardBytes, GoldenShardIsAFixedPoint) {
+  const PopulationShard shard = parse_shard(kGoldenShard);
+  ASSERT_EQ(shard.chunks.size(), 1u);
+  ASSERT_EQ(shard.chunks[0].per_flow.size(), 1u);
+  EXPECT_FALSE(shard.chunks[0].per_flow[0].predicted.has_value());
+  EXPECT_EQ(serialize_shard(shard), kGoldenShard);
 }
 
-TEST(StatsStateJson, RunningStatsRoundTripsInfinityFoldIdentities) {
-  // The ±inf extremes a fold identity uses must survive the text format.
-  stats::RunningStats::State state;
-  state.count = 0;
-  state.min = std::numeric_limits<double>::infinity();
-  state.max = -std::numeric_limits<double>::infinity();
-  const auto back = parse_running_stats(serialize_running_stats(state));
-  expect_bits(back.min, state.min, "min identity");
-  expect_bits(back.max, state.max, "max identity");
-
-  util::Rng rng(4321);
-  stats::RunningStats original;
-  for (int i = 0; i < 17; ++i) original.add(rng.uniform(-3.0, 3.0));
-  const auto restored = stats::RunningStats::from_state(
-      parse_running_stats(serialize_running_stats(original.state())));
-  EXPECT_EQ(restored.count(), original.count());
-  expect_bits(restored.mean(), original.mean(), "mean");
-  expect_bits(restored.variance(), original.variance(), "variance");
-  expect_bits(restored.min(), original.min(), "min");
-  expect_bits(restored.max(), original.max(), "max");
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
-TEST(StatsStateJson, HistogramsRoundTripExactly) {
-  util::Rng rng(5);
-  stats::Histogram dense(-1.0, 2.0, 12);
-  for (int i = 0; i < 400; ++i) dense.add(rng.uniform(-2.0, 3.0));
-  const stats::Histogram dense_back =
-      parse_histogram(serialize_histogram(dense));
-  EXPECT_EQ(dense_back.counts(), dense.counts());
-  EXPECT_EQ(dense_back.underflow(), dense.underflow());
-  EXPECT_EQ(dense_back.overflow(), dense.overflow());
-  EXPECT_EQ(dense_back.total(), dense.total());
-  expect_bits(dense_back.lo(), dense.lo(), "lo");
-  expect_bits(dense_back.hi(), dense.hi(), "hi");
-
-  stats::SparseHistogram sparse(0.125);
-  for (int i = 0; i < 300; ++i) sparse.add(rng.uniform(-20.0, 20.0));
-  ASSERT_LT(sparse.cells().begin()->first, 0);  // negative bins exercised
-  const stats::SparseHistogram sparse_back =
-      parse_sparse_histogram(serialize_sparse_histogram(sparse));
-  EXPECT_EQ(sparse_back.cells(), sparse.cells());
-  EXPECT_EQ(sparse_back.total(), sparse.total());
-  expect_bits(sparse_back.bin_width(), sparse.bin_width(), "bin_width");
+TEST(ShardBytes, SeededCorpusDigestIsPinned) {
+  std::string corpus;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    util::Rng rng(9000 + seed);
+    corpus += serialize_shard(random_shard(rng));
+  }
+  EXPECT_EQ(corpus.size(), 1109342u);
+  EXPECT_EQ(fnv1a(corpus), 0x1c0dda08da2bf9adULL);
 }
 
 // ------------------------------------------------- N-shard bit-identity
@@ -625,12 +682,20 @@ TEST(ShardParse, FormatVersionDriftIsALoudError) {
   text.replace(0, current.size(),
                "{\"linkpad_shard\":" +
                    std::to_string(kShardFormatVersion + 1));
-  try {
-    (void)parse_shard(text);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& err) {
-    EXPECT_NE(std::string(err.what()).find("version"), std::string::npos)
-        << err.what();
+  // A version-1 header also lacks keys this version reads; the error must
+  // still name the version, not the first missing key.
+  std::string v1 = kGoldenShard;
+  const std::string sampled = R"("sample_flows":0,"sample_round":0,)";
+  v1.erase(v1.find(sampled), sampled.size());
+  v1.replace(0, current.size(), "{\"linkpad_shard\":1");
+  for (const std::string& drifted : {text, v1}) {
+    try {
+      (void)parse_shard(drifted);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("version"), std::string::npos)
+          << err.what();
+    }
   }
 }
 
@@ -663,6 +728,163 @@ TEST(ShardParse, DeeplyNestedInputIsALoudErrorNotAStackOverflow) {
     EXPECT_EQ(std::string(err.what()).find("nesting"), std::string::npos)
         << err.what();
   }
+}
+
+TEST(ShardParse, CraftedConfusionMatricesAreNamedErrors) {
+  // Each replaces the first confusion matrix of a real shard. 0 and 1
+  // class are not a matrix; 2^32 and 2^63 + 2 square to 0 and 4 in 64-bit
+  // arithmetic, so a size check on classes * classes would pass them.
+  const std::string original =
+      R"("confusion":{"classes":2,"counts":[7,1,0,8]})";
+  const std::size_t at = kGoldenShard.find(original);
+  ASSERT_NE(at, std::string::npos);
+  for (const std::string crafted : {
+           R"("confusion":{"classes":0,"counts":[]})",
+           R"("confusion":{"classes":1,"counts":[]})",
+           R"("confusion":{"classes":4294967296,"counts":[]})",
+           R"("confusion":{"classes":9223372036854775810,"counts":[1,2,3,4]})",
+       }) {
+    std::string text = kGoldenShard;
+    text.replace(at, original.size(), crafted);
+    EXPECT_THROW((void)parse_shard(text), std::invalid_argument) << crafted;
+    // The matrix sits on the last line, so a tolerant parse drops it.
+    EXPECT_TRUE(
+        parse_shard(text, /*tolerate_partial_tail=*/true).chunks.empty())
+        << crafted;
+  }
+}
+
+TEST(ShardParse, OutOfRangeEnumsAreNamedErrors) {
+  // Enum values are range-checked before the cast: 2^32 + 1 would narrow
+  // to a valid CpdKind in a 32-bit underlying type.
+  for (const auto& [original, crafted] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("feature":2)", R"("feature":5)"},
+           {R"("kind":0)", R"("kind":2)"},
+           {R"("cpd_kinds":[0,1])", R"("cpd_kinds":[0,4294967297])"},
+       }) {
+    std::string text = kGoldenShard;
+    const std::size_t at = text.find(original);
+    ASSERT_NE(at, std::string::npos) << original;
+    text.replace(at, original.size(), crafted);
+    EXPECT_THROW((void)parse_shard(text), std::invalid_argument) << crafted;
+  }
+}
+
+// ----------------------------------------------------------- mutation fuzz
+
+/// Real shard text: the golden, an exhaustive campaign with a CUSUM
+/// detector and per-flow results, and a sampled campaign without them.
+std::vector<std::string> fuzz_sources() {
+  std::vector<std::string> sources = {kGoldenShard};
+  SweepOptions options;
+  options.threads = 1;
+  options.grain = 2;
+  options.shard_index = 1;
+  options.shard_count = 2;
+
+  auto exhaustive = shard_spec(6, 11);
+  exhaustive.experiment.plan.cpd_detectors = {classify::CpdConfig{}};
+  sources.push_back(serialize_shard(
+      run_population_shard(exhaustive, sim_backend(), options)));
+
+  auto sampled = shard_spec(40, 12);
+  sampled.sample_flows = 6;
+  sampled.sample_round = 2;
+  sampled.keep_per_flow = false;
+  sources.push_back(
+      serialize_shard(run_population_shard(sampled, sim_backend(), options)));
+  return sources;
+}
+
+/// One seeded mutation of one source: truncate, flip a bit, overwrite a
+/// byte with JSON punctuation, splice in a slice of another source, or
+/// replace an integer literal with an edge value.
+std::string mutate(const std::vector<std::string>& sources, util::Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return std::min(n - 1, static_cast<std::size_t>(rng.uniform01() *
+                                                    static_cast<double>(n)));
+  };
+  std::string text = sources[pick(sources.size())];
+  switch (pick(5)) {
+    case 0:
+      text.resize(pick(text.size()));
+      break;
+    case 1: {
+      char& c = text[pick(text.size())];
+      c = static_cast<char>(c ^ (1 << pick(8)));
+      break;
+    }
+    case 2: {
+      const std::string_view punctuation = "{}[]:,\"\\- \n";
+      text[pick(text.size())] = punctuation[pick(punctuation.size())];
+      break;
+    }
+    case 3: {
+      const std::string& other = sources[pick(sources.size())];
+      const std::size_t from = pick(other.size());
+      const std::size_t length = pick(other.size() - from + 1);
+      const std::size_t at = pick(text.size() + 1);
+      const std::size_t cut = pick(text.size() - at + 1);
+      text.replace(at, cut, other, from, length);
+      break;
+    }
+    default: {
+      // Integer literals start right after ':', '[' or ','; hex doubles
+      // start after a quote, so they are never picked.
+      std::vector<std::size_t> starts;
+      for (std::size_t i = 1; i < text.size(); ++i) {
+        const bool digit = text[i] >= '0' && text[i] <= '9';
+        const char before = text[i - 1];
+        if (digit && (before == ':' || before == '[' || before == ',')) {
+          starts.push_back(i);
+        }
+      }
+      const std::size_t at = starts[pick(starts.size())];
+      std::size_t end = at;
+      while (end < text.size() && text[end] >= '0' && text[end] <= '9') ++end;
+      const std::string_view edges[] = {"0",
+                                        "1",
+                                        "2",
+                                        "4294967296",
+                                        "9223372036854775810",
+                                        "18446744073709551615",
+                                        "-1"};
+      text.replace(at, end - at, edges[pick(std::size(edges))]);
+      break;
+    }
+  }
+  return text;
+}
+
+TEST(ShardFuzz, MutatedShardsParseOrFailByName) {
+  // Shard files cross machines, so every byte sequence must either parse
+  // or throw std::invalid_argument — never crash, hang or raise anything
+  // else — with and without a tolerated tail. What parses re-serializes
+  // to a fixed point.
+  const auto sources = fuzz_sources();
+  util::Rng rng(20030324);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  for (int variant = 0; variant < 10000; ++variant) {
+    const std::string text = mutate(sources, rng);
+    for (const bool tolerate : {false, true}) {
+      try {
+        const std::string once = serialize_shard(parse_shard(text, tolerate));
+        EXPECT_EQ(serialize_shard(parse_shard(once)), once)
+            << "variant " << variant;
+        ++parsed;
+      } catch (const std::invalid_argument&) {
+        ++refused;
+      } catch (const std::exception& err) {
+        ADD_FAILURE() << "variant " << variant << " (tolerate " << tolerate
+                      << ") threw something else: " << err.what();
+      }
+    }
+  }
+  // Both outcomes must be common, or the mutations test nothing.
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(refused, 1000u);
 }
 
 TEST(ShardCheckpoint, BytesIndependentOfThreadCount) {

@@ -110,29 +110,23 @@ TEST(SweepDeterminism, SharedPoolMatchesDedicatedPools) {
 
 TEST(SweepDeterminism, ExecutionPoliciesAgreeBitwise) {
   // The execution-policy seam only changes HOW points are dispatched —
-  // inline loop, task-per-point, or grain-aligned chunks with per-slot
-  // engines — never WHAT they compute.
+  // inline loop or grain-aligned chunks with per-slot engines — never WHAT
+  // they compute.
   const auto specs = eight_point_grid();
 
   SweepOptions serial;
   serial.execution = util::ExecutionPolicy::kSerial;
-  SweepOptions task_per_point;
-  task_per_point.execution = util::ExecutionPolicy::kMultithread;
-  task_per_point.threads = 4;
   SweepOptions chunked;
   chunked.execution = util::ExecutionPolicy::kChunked;
   chunked.threads = 4;
   chunked.grain = 3;  // ragged: 8 points -> chunks of 3, 3, 2
 
   const auto reference = SweepRunner(sim_backend(), serial).run(specs);
-  const auto tasks = SweepRunner(sim_backend(), task_per_point).run(specs);
   const auto chunks = SweepRunner(sim_backend(), chunked).run(specs);
 
   ASSERT_TRUE(reference.all_completed());
-  ASSERT_TRUE(tasks.all_completed());
   ASSERT_TRUE(chunks.all_completed());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(reference.results[i], tasks.results[i]);
     expect_identical(reference.results[i], chunks.results[i]);
   }
 }

@@ -153,32 +153,5 @@ TEST(RunningStats, ForkResumesBitIdentically) {
   EXPECT_EQ(first_half.count(), 1500u);
 }
 
-TEST(RunningStatsState, SnapshotRestoreContinuesBitIdentically) {
-  // state()/from_state round-trips the full Welford state (count, mean,
-  // central moments, extremes): a restored accumulator fed the identical
-  // suffix stays exactly equal — what shard/checkpoint files depend on.
-  util::Rng rng(321);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t prefix = static_cast<std::size_t>(trial) % 11;
-    RunningStats original;
-    for (std::size_t i = 0; i < prefix; ++i) {
-      original.add(rng.uniform(-5.0, 5.0));
-    }
-    RunningStats restored = RunningStats::from_state(original.state());
-    for (int i = 0; i < 40; ++i) {
-      const double x = rng.uniform(-5.0, 5.0);
-      original.add(x);
-      restored.add(x);
-    }
-    EXPECT_EQ(original.count(), restored.count());
-    EXPECT_EQ(original.mean(), restored.mean());
-    EXPECT_EQ(original.variance(), restored.variance());
-    EXPECT_EQ(original.skewness(), restored.skewness());
-    EXPECT_EQ(original.excess_kurtosis(), restored.excess_kurtosis());
-    EXPECT_EQ(original.min(), restored.min());
-    EXPECT_EQ(original.max(), restored.max());
-  }
-}
-
 }  // namespace
 }  // namespace linkpad::stats

@@ -226,53 +226,5 @@ TEST(SparseHistogram, ForkResumesExactly) {
   EXPECT_EQ(prefix.total(), 2000u);  // source untouched
 }
 
-TEST(SparseHistogram, AddCellTalliesLikeRepeatedAdds) {
-  SparseHistogram by_adds(0.5);
-  by_adds.add(0.6);
-  by_adds.add(0.7);
-  by_adds.add(-1.2);
-
-  SparseHistogram by_cells(0.5);
-  by_cells.add_cell(1, 2);
-  by_cells.add_cell(-3, 1);
-  by_cells.add_cell(5, 0);  // no-op
-  EXPECT_EQ(by_cells.cells(), by_adds.cells());
-  EXPECT_EQ(by_cells.total(), by_adds.total());
-}
-
-TEST(Histogram, FromStateRebuildsExactly) {
-  util::Rng rng(404);
-  Histogram original(-2.0, 3.0, 16);
-  for (int i = 0; i < 500; ++i) original.add(rng.uniform(-3.0, 4.0));
-  ASSERT_GT(original.underflow(), 0u);
-  ASSERT_GT(original.overflow(), 0u);
-
-  const Histogram rebuilt = Histogram::from_state(
-      original.lo(), original.hi(), original.counts(), original.underflow(),
-      original.overflow());
-  EXPECT_EQ(rebuilt.counts(), original.counts());
-  EXPECT_EQ(rebuilt.underflow(), original.underflow());
-  EXPECT_EQ(rebuilt.overflow(), original.overflow());
-  EXPECT_EQ(rebuilt.total(), original.total());  // recomputed from counts
-  EXPECT_EQ(rebuilt.bin_width(), original.bin_width());
-  for (std::size_t i = 0; i < original.bins(); ++i) {
-    EXPECT_EQ(rebuilt.density(i), original.density(i));
-  }
-}
-
-TEST(SparseHistogram, FromCellsRebuildsExactly) {
-  util::Rng rng(405);
-  SparseHistogram original(0.25);
-  for (int i = 0; i < 300; ++i) original.add(rng.uniform(-10.0, 10.0));
-
-  std::vector<std::pair<std::int64_t, std::uint64_t>> cells(
-      original.cells().begin(), original.cells().end());
-  const SparseHistogram rebuilt =
-      SparseHistogram::from_cells(original.bin_width(), cells);
-  EXPECT_EQ(rebuilt.cells(), original.cells());
-  EXPECT_EQ(rebuilt.total(), original.total());
-  EXPECT_EQ(rebuilt.bin_width(), original.bin_width());
-}
-
 }  // namespace
 }  // namespace linkpad::stats

@@ -195,47 +195,6 @@ TEST(P2QuantileMerge, ToleranceBoundedOnSummarizedHalves) {
   }
 }
 
-TEST(P2QuantileState, SnapshotRestoreContinuesBitIdentically) {
-  // state()/from_state must capture the FULL marker state: a restored
-  // sketch fed the same suffix as the original must stay bitwise equal —
-  // the contract shard/checkpoint serialization (core/shard_io) rests on.
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const std::size_t prefix = seed % 23;  // crosses the exact<=5 boundary
-    const auto xs = normal_sample(prefix + 25, 600 + seed);
-
-    P2Quantile original(0.95);
-    for (std::size_t i = 0; i < prefix; ++i) original.add(xs[i]);
-    P2Quantile restored = P2Quantile::from_state(original.state());
-
-    for (std::size_t i = prefix; i < xs.size(); ++i) {
-      original.add(xs[i]);
-      restored.add(xs[i]);
-    }
-    EXPECT_EQ(original.value(), restored.value()) << "seed " << seed;
-    const auto a = original.state();
-    const auto b = restored.state();
-    EXPECT_EQ(a.count, b.count);
-    for (std::size_t m = 0; m < a.heights.size(); ++m) {
-      EXPECT_EQ(a.heights[m], b.heights[m]) << "seed " << seed;
-      EXPECT_EQ(a.positions[m], b.positions[m]) << "seed " << seed;
-      EXPECT_EQ(a.desired[m], b.desired[m]) << "seed " << seed;
-      EXPECT_EQ(a.rate[m], b.rate[m]) << "seed " << seed;
-    }
-  }
-}
-
-TEST(P2QuantileState, EmptySketchRoundTrips) {
-  P2Quantile fresh(0.25);
-  const auto state = fresh.state();
-  EXPECT_EQ(state.count, 0u);
-  P2Quantile restored = P2Quantile::from_state(state);
-  for (double x : normal_sample(9, 77)) {
-    fresh.add(x);
-    restored.add(x);
-  }
-  EXPECT_EQ(fresh.value(), restored.value());
-}
-
 TEST(P2QuantileMerge, DeterministicAcrossRepeats) {
   // merge is a pure function of the two sketch states — a fixed-shape
   // reduction tree relies on replays being bit-identical.
