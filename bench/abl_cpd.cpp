@@ -15,7 +15,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_cpd", "Extension: streaming change-point (CUSUM / adaptive-EWMA) "
                  "adversary vs padding strength");
@@ -85,4 +85,7 @@ int main(int argc, char** argv) {
                  "defense does and does not equalize.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_cpd: %s\n", error.what());
+  return 1;
 }

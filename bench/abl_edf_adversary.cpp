@@ -18,7 +18,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_edf_adversary", "Extension: EDF (KS/CvM) adversary vs entropy feature");
   if (!args.parse(argc, argv)) return 1;
@@ -105,4 +105,7 @@ int main(int argc, char** argv) {
                  "not just the paper's three statistics.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_edf_adversary: %s\n", error.what());
+  return 1;
 }

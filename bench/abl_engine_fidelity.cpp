@@ -66,7 +66,7 @@ EngineRun run_engine(const core::Scenario& scenario, std::size_t n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_engine_fidelity",
       "Validation: analytic M/G/1 channels vs packet-level simulation");
@@ -109,4 +109,7 @@ int main(int argc, char** argv) {
                  "the 24-hour WAN figures affordable.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_engine_fidelity: %s\n", error.what());
+  return 1;
 }

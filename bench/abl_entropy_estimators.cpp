@@ -14,7 +14,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_entropy_estimators",
       "Ablation: estimator robustness on a congested path (n = 1000)");
@@ -59,4 +59,7 @@ int main(int argc, char** argv) {
                  "observation (2), extended to two more robust statistics.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_entropy_estimators: %s\n", error.what());
+  return 1;
 }

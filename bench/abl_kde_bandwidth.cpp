@@ -30,7 +30,7 @@ double attack(classify::DensityKind density, stats::BandwidthRule rule,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_kde_bandwidth",
       "Ablation: adversary density model / bandwidth rule sensitivity");
@@ -82,4 +82,7 @@ int main(int argc, char** argv) {
                  "accuracy.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_kde_bandwidth: %s\n", error.what());
+  return 1;
 }

@@ -10,7 +10,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_multirate", "Extension: m-ary payload rate classification");
   if (!args.parse(argc, argv)) return 1;
@@ -51,4 +51,7 @@ int main(int argc, char** argv) {
                  "(10/40 pps) remain easiest.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_multirate: %s\n", error.what());
+  return 1;
 }

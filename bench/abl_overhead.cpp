@@ -12,7 +12,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_overhead", "Extension: security/QoS/overhead trade-off frontier");
   if (!args.parse(argc, argv)) return 1;
@@ -63,4 +63,7 @@ int main(int argc, char** argv) {
                  "paper describes.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_overhead: %s\n", error.what());
+  return 1;
 }

@@ -20,7 +20,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_sequential", "Extension: SPRT adversary vs fixed-sample attack");
   if (!args.parse(argc, argv)) return 1;
@@ -122,4 +122,7 @@ int main(int argc, char** argv) {
                  "fixed-n analysis suggests.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_sequential: %s\n", error.what());
+  return 1;
 }

@@ -10,7 +10,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_tap_position",
       "Ablation: detection rate vs tap distance from GW1 (n = 1000)");
@@ -56,4 +56,7 @@ int main(int argc, char** argv) {
                  "remote (WAN) adversary is weaker than the local one.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_tap_position: %s\n", error.what());
+  return 1;
 }

@@ -12,7 +12,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_theory_accuracy",
       "Ablation: Theorem 2 vs CLT sampling law vs measured adversary");
@@ -62,4 +62,7 @@ int main(int argc, char** argv) {
                  "tracking him. Design against the CLT column.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_theory_accuracy: %s\n", error.what());
+  return 1;
 }

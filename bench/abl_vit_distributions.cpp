@@ -37,7 +37,7 @@ double attack(std::shared_ptr<const sim::TimerPolicy> policy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "abl_vit_distributions",
       "Ablation: VIT interval distribution shape at matched variance");
@@ -84,4 +84,7 @@ int main(int argc, char** argv) {
                  "analysis assumes.\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "abl_vit_distributions: %s\n", error.what());
+  return 1;
 }

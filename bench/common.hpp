@@ -22,13 +22,13 @@ namespace linkpad::bench {
 inline util::ArgParser make_figure_parser(const std::string& name,
                                           const std::string& summary) {
   util::ArgParser parser(name, summary);
-  parser.add_option("--effort", "1.0",
-                    "Monte-Carlo effort multiplier (0.1 = quick smoke run)");
-  parser.add_option("--seed", "20030324", "root RNG seed");
+  parser.add_num("--effort", 1.0,
+                 "Monte-Carlo effort multiplier (0.1 = quick smoke run)");
+  parser.add_int("--seed", 20030324, "root RNG seed");
   parser.add_option("--backend", "sim",
                     "PIAT backend: 'sim' (testbed) or 'live' (loopback UDP)");
-  parser.add_option("--live-tau-scale", "0.1",
-                    "with --backend live: scale factor on the policy tau");
+  parser.add_num("--live-tau-scale", 0.1,
+                 "with --backend live: scale factor on the policy tau");
   parser.add_flag("--csv", "emit CSV rows instead of the aligned table");
   parser.add_flag("--no-plot", "suppress the ASCII plot");
   return parser;

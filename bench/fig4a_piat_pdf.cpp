@@ -11,7 +11,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig4a_piat_pdf", "Fig 4(a): padded PIAT pdf at 10 vs 40 pps (CIT)");
   if (!args.parse(argc, argv)) return 1;
@@ -63,4 +63,7 @@ int main(int argc, char** argv) {
         plot);
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig4a_piat_pdf: %s\n", error.what());
+  return 1;
 }

@@ -9,7 +9,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig4b_cit_detection_vs_n",
       "Fig 4(b): CIT detection rate vs sample size (experiment + theory)");
@@ -18,4 +18,7 @@ int main(int argc, char** argv) {
   const auto fig = core::fig4b_detection_vs_n(bench::figure_options(args));
   bench::print_figure(fig, args, /*log_x=*/true);
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig4b_cit_detection_vs_n: %s\n", error.what());
+  return 1;
 }

@@ -7,7 +7,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig5a_vit_detection_vs_sigma",
       "Fig 5(a): VIT detection rate vs sigma_T at n = 2000");
@@ -16,4 +16,7 @@ int main(int argc, char** argv) {
   const auto fig = core::fig5a_detection_vs_sigma(bench::figure_options(args));
   bench::print_figure(fig, args, /*log_x=*/true);
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig5a_vit_detection_vs_sigma: %s\n", error.what());
+  return 1;
 }

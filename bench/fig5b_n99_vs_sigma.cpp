@@ -13,7 +13,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig5b_n99_vs_sigma", "Fig 5(b): theoretical n(99%) vs sigma_T");
   args.add_flag("--empirical",
@@ -29,4 +29,7 @@ int main(int argc, char** argv) {
     bench::print_figure(measured, args, /*log_x=*/true, /*log_y=*/true);
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig5b_n99_vs_sigma: %s\n", error.what());
+  return 1;
 }

@@ -9,7 +9,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig6_cross_traffic",
       "Fig 6: CIT detection rate vs shared-link utilization (n = 1000)");
@@ -19,4 +19,7 @@ int main(int argc, char** argv) {
       core::fig6_detection_vs_utilization(bench::figure_options(args));
   bench::print_figure(fig, args);
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig6_cross_traffic: %s\n", error.what());
+  return 1;
 }

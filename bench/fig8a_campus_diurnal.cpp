@@ -8,7 +8,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig8a_campus_diurnal",
       "Fig 8(a): campus-path detection rate vs time of day (n = 1000)");
@@ -18,4 +18,7 @@ int main(int argc, char** argv) {
       core::fig8_detection_vs_hour(/*wan=*/false, bench::figure_options(args));
   bench::print_figure(fig, args);
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig8a_campus_diurnal: %s\n", error.what());
+  return 1;
 }

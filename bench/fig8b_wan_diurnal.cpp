@@ -9,7 +9,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig8b_wan_diurnal",
       "Fig 8(b): WAN-path detection rate vs time of day (n = 1000)");
@@ -19,4 +19,7 @@ int main(int argc, char** argv) {
       core::fig8_detection_vs_hour(/*wan=*/true, bench::figure_options(args));
   bench::print_figure(fig, args);
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig8b_wan_diurnal: %s\n", error.what());
+  return 1;
 }

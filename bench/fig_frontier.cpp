@@ -15,7 +15,7 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto args = bench::make_figure_parser(
       "fig_frontier", "budgeted padding: overhead vs detection frontier");
   if (!args.parse(argc, argv)) return 1;
@@ -35,14 +35,9 @@ int main(int argc, char** argv) {
   const core::ExperimentBackend& backend =
       options.backend ? *options.backend : core::sim_backend();
   util::Stopwatch watch;
-  core::FrontierResult frontier;
-  try {
-    frontier = core::run_frontier(spec, backend);
-  } catch (const std::invalid_argument& error) {
-    // e.g. --backend live: a passive tap has no overhead coordinate.
-    std::fprintf(stderr, "fig_frontier: %s\n", error.what());
-    return 1;
-  }
+  // Throws std::invalid_argument for --backend live: a passive tap has no
+  // overhead coordinate.
+  const core::FrontierResult frontier = core::run_frontier(spec, backend);
   std::fprintf(stderr, "fig_frontier: %zu policy points in %.2f s\n",
                frontier.points.size(), watch.elapsed_seconds());
 
@@ -86,4 +81,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "fig_frontier: %s\n", error.what());
+  return 1;
 }

@@ -37,19 +37,19 @@ classify::FeatureKind parse_feature(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("adversary_study",
                        "step-by-step Bayes traffic-analysis attack");
   args.add_option("--feature", "variance",
                   "density plot focus: mean | variance | entropy | mad | iqr");
-  args.add_option("--n", "1000", "PIAT window size");
-  args.add_option("--windows", "150", "training/test windows per class");
-  args.add_option("--seed", "42", "root RNG seed");
+  args.add_count("--n", 1000, "PIAT window size");
+  args.add_count("--windows", 150, "training/test windows per class");
+  args.add_int("--seed", 42, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
   const auto focus = parse_feature(args.str("--feature"));
-  const auto n = static_cast<std::size_t>(args.integer("--n"));
-  const auto windows = static_cast<std::size_t>(args.integer("--windows"));
+  const auto n = args.count("--n");
+  const auto windows = args.count("--windows");
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
   const auto scenario = core::lab_zero_cross(core::make_cit());
@@ -254,4 +254,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "adversary_study: %s\n", error.what());
+  return 1;
 }

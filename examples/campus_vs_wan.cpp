@@ -59,16 +59,16 @@ std::vector<double> detection_over_day(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("campus_vs_wan",
                        "CIT exposure across a day: campus vs WAN tap");
-  args.add_option("--slots", "8", "time slots across the 24h day");
-  args.add_option("--windows", "100", "train/test windows per class");
-  args.add_option("--seed", "23", "root RNG seed");
+  args.add_count("--slots", 8, "time slots across the 24h day");
+  args.add_count("--windows", 100, "train/test windows per class");
+  args.add_int("--seed", 23, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
-  const auto slots = static_cast<std::size_t>(args.integer("--slots"));
-  const auto windows = static_cast<std::size_t>(args.integer("--windows"));
+  const auto slots = args.count("--slots");
+  const auto windows = args.count("--windows");
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
   const auto hours = day_slots(slots);
@@ -120,4 +120,7 @@ int main(int argc, char** argv) {
               "so CIT is unsafe in either deployment — the quiet 2 AM Internet\n"
               "is exactly when the remote adversary does best (paper Sec 5.3).\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "campus_vs_wan: %s\n", error.what());
+  return 1;
 }

@@ -43,15 +43,15 @@ stats::Summary capture(const core::ExperimentBackend& backend,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("live_loopback",
                        "real-time padding gateway over loopback UDP");
-  args.add_option("--tau-ms", "2", "timer mean interval in milliseconds");
-  args.add_option("--piats", "1500", "PIATs to capture per run");
+  args.add_num("--tau-ms", 2, "timer mean interval in milliseconds");
+  args.add_count("--piats", 1500, "PIATs to capture per run");
   if (!args.parse(argc, argv)) return 1;
 
   const double tau = args.num("--tau-ms") * 1e-3;
-  const auto piats = static_cast<std::size_t>(args.integer("--piats"));
+  const auto piats = args.count("--piats");
 
   // The paper's scenario objects, scaled so the live runs finish quickly:
   // the live backend maps policy tau/sigma onto the real clock.
@@ -87,4 +87,7 @@ int main(int argc, char** argv) {
                 "whatever it is here, it leaks\nthe same way.\n");
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "live_loopback: %s\n", error.what());
+  return 1;
 }

@@ -120,21 +120,21 @@ void print_sampled_comparison(const core::PopulationResult& exhaustive,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("population_study",
                        "padding a user population: who leaks, and how fast");
-  args.add_int("--flows", 100, "concurrent padded flows M");
-  args.add_int("--windows", 10, "train/test windows per class at n_max");
+  args.add_count("--flows", 100, "concurrent padded flows M");
+  args.add_count("--windows", 10, "train/test windows per class at n_max");
   args.add_num("--sigma", 500, "VIT timer std-dev in microseconds");
   args.add_int("--seed", 31, "root RNG seed");
-  args.add_int("--sample", 0,
-                  "sampled-mode stratum size m (0 = skip the sampled demo)");
+  args.add_count("--sample", 0,
+                 "sampled-mode stratum size m (0 = skip the sampled demo)");
   args.add_num("--half-width", 0.15,
-                  "target detected-fraction half-width for the sampled demo");
+               "target detected-fraction half-width for the sampled demo");
   if (!args.parse(argc, argv)) return 1;
 
-  const auto flows = static_cast<std::size_t>(args.integer("--flows"));
-  const auto windows = static_cast<std::size_t>(args.integer("--windows"));
+  const auto flows = args.count("--flows");
+  const auto windows = args.count("--windows");
   const double sigma = args.num("--sigma") * 1e-6;
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   print_population(vit_policy->name().c_str(), vit,
                    core::PopulationSpec{}.detection_threshold);
 
-  const auto sample = static_cast<std::size_t>(args.integer("--sample"));
+  const auto sample = args.count("--sample");
   if (sample > 0 && sample <= flows) {
     core::AdaptiveSamplingOptions adaptive;
     adaptive.round_flows = sample;
@@ -174,4 +174,7 @@ int main(int argc, char** argv) {
               "(the paper's Sec 6 design rule, population form).\n",
               sigma * 1e6);
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "population_study: %s\n", error.what());
+  return 1;
 }

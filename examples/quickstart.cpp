@@ -42,9 +42,9 @@ void attack(const core::Scenario& scenario, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("quickstart", "CIT leaks, VIT does not — the paper in one run");
-  args.add_option("--seed", "7", "root RNG seed");
+  args.add_int("--seed", 7, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
@@ -67,4 +67,7 @@ int main(int argc, char** argv) {
   std::printf("\nSame mean rate on the wire in both cases — VIT costs no extra\n"
               "bandwidth; it only randomizes WHEN the timer fires.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "quickstart: %s\n", error.what());
+  return 1;
 }

@@ -21,12 +21,12 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("robust_frontier_study",
                        "re-score the defense frontier against a per-policy "
                        "best-response adversary");
-  args.add_int("--n", 200, "fixed-bank window size (PIATs per window)");
-  args.add_int("--windows", 12, "train/test windows per class");
+  args.add_count("--n", 200, "fixed-bank window size (PIATs per window)");
+  args.add_count("--windows", 12, "train/test windows per class");
   args.add_int("--seed", 20030324, "root RNG seed");
   args.add_flag("--edf", "add EDF (KS/CvM) candidates to the search space");
   args.add_flag("--json", "also print the canonical hex-double JSON record");
@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
       core::budget_ladder({0.0, 40.0, 70.0, 85.0, 100.0});
   spec.frontier.policies.push_back(core::make_onoff(/*hangover=*/20e-3));
   spec.frontier.plan.adversary.window_size =
-      static_cast<std::size_t>(args.integer("--n"));
+      args.count("--n");
   spec.frontier.plan.train_windows =
-      static_cast<std::size_t>(args.integer("--windows"));
+      args.count("--windows");
   spec.frontier.plan.test_windows = spec.frontier.plan.train_windows;
   spec.frontier.seed = static_cast<std::uint64_t>(args.integer("--seed"));
   // The attacker's menu: every scalar feature at three window sizes
@@ -114,4 +114,7 @@ int main(int argc, char** argv) {
       "gain column: budget the defense against the tuned rate, not the\n"
       "paper's fixed adversary.\n");
   return tuned_at_least_fixed && monotone ? 0 : 1;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "robust_frontier_study: %s\n", error.what());
+  return 1;
 }

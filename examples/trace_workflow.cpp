@@ -17,16 +17,16 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("trace_workflow",
                        "capture PIAT traces to disk, analyze offline");
   args.add_option("--dir", "/tmp/linkpad_traces", "output directory");
-  args.add_option("--piats", "60000", "PIATs captured per class");
-  args.add_option("--seed", "31", "root RNG seed");
+  args.add_count("--piats", 60000, "PIATs captured per class");
+  args.add_int("--seed", 31, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
   const std::string dir = args.str("--dir");
-  const auto piats = static_cast<std::size_t>(args.integer("--piats"));
+  const auto piats = args.count("--piats");
   std::filesystem::create_directories(dir);
 
   // --- Capture phase: dump one trace per payload rate.
@@ -74,4 +74,7 @@ int main(int argc, char** argv) {
               cfg.window_size, adversary.detection_rate(test));
   std::printf("Traces remain under %s for further offline runs.\n", dir.c_str());
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "trace_workflow: %s\n", error.what());
+  return 1;
 }

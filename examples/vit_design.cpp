@@ -18,12 +18,12 @@
 
 using namespace linkpad;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser args("vit_design",
                        "configure VIT padding for a target detection bound");
-  args.add_option("--vmax", "0.55", "tolerated detection rate (0.5..1)");
-  args.add_option("--nmax", "5000", "adversary's largest credible sample");
-  args.add_option("--seed", "11", "root RNG seed");
+  args.add_num("--vmax", 0.55, "tolerated detection rate (0.5..1)");
+  args.add_num("--nmax", 5000, "adversary's largest credible sample");
+  args.add_int("--seed", 11, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
   const double v_max = args.num("--vmax");
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
   std::printf("\nDone: the configured sigma_T holds the leak at the designed "
               "bound, at zero\nextra bandwidth relative to CIT.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "vit_design: %s\n", error.what());
+  return 1;
 }

@@ -4,21 +4,28 @@
 
 namespace linkpad::sim {
 
-PaddingGateway::PaddingGateway(Simulation& sim,
-                               std::unique_ptr<TimerPolicy> policy,
+PaddingGateway::PaddingGateway(std::unique_ptr<TimerPolicy> policy,
                                const JitterParams& jitter, util::Rng& rng,
-                               PacketSink& downstream, int wire_bytes,
-                               std::size_t queue_capacity)
-    : sim_(sim),
-      policy_(std::move(policy)),
+                               int wire_bytes, std::size_t queue_capacity)
+    : policy_(std::move(policy)),
       jitter_(jitter),
       rng_(rng),
-      downstream_(downstream),
       wire_bytes_(wire_bytes),
       queue_capacity_(queue_capacity) {
   LINKPAD_EXPECTS(policy_ != nullptr);
   LINKPAD_EXPECTS(wire_bytes > 0);
   LINKPAD_EXPECTS(queue_capacity > 0);
+}
+
+PaddingGateway::PaddingGateway(Simulation& sim,
+                               std::unique_ptr<TimerPolicy> policy,
+                               const JitterParams& jitter, util::Rng& rng,
+                               PacketSink& downstream, int wire_bytes,
+                               std::size_t queue_capacity)
+    : PaddingGateway(std::move(policy), jitter, rng, wire_bytes,
+                     queue_capacity) {
+  sim_ = &sim;
+  downstream_ = &downstream;
 }
 
 void PaddingGateway::on_packet(const Packet& packet, Seconds /*now*/) {
@@ -31,16 +38,21 @@ void PaddingGateway::on_packet(const Packet& packet, Seconds /*now*/) {
   queue_.push_back(packet);
 }
 
+Seconds PaddingGateway::arm(Seconds now) {
+  next_designed_fire_ = now + policy_->next_interval(rng_);
+  return next_designed_fire_;
+}
+
 void PaddingGateway::start() {
-  next_designed_fire_ = sim_.now() + policy_->next_interval(rng_);
-  sim_.schedule_timer_at(next_designed_fire_, *this);
+  LINKPAD_EXPECTS(sim_ != nullptr);
+  sim_->schedule_timer_at(arm(sim_->now()), *this);
 }
 
 PacketsPerSecond PaddingGateway::wire_rate() const {
   return 1.0 / policy_->mean_interval();
 }
 
-void PaddingGateway::on_timer(Seconds /*now*/) {
+GatewayFire PaddingGateway::fire(Seconds now) {
   ++stats_.timer_fires;
 
   // The interrupt routine runs after a random scheduling delay; payload
@@ -48,20 +60,21 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
   const Seconds delay = jitter_.emission_delay(rng_, arrivals_since_fire_);
 
   GatewayFeedback feedback;
-  feedback.now = sim_.now();
+  feedback.now = now;
   feedback.arrivals_since_fire = arrivals_since_fire_;
   arrivals_since_fire_ = 0;
 
-  Packet wire;
+  GatewayFire out;
+  Packet& wire = out.wire;
   wire.flow = FlowId::kMonitored;
   wire.size_bytes = wire_bytes_;  // constant wire size hides payload length
-  bool emit = true;
+  out.emits = true;
   if (!queue_.empty()) {
     const Packet payload = queue_.front();
     queue_.pop_front();
     wire.kind = PacketKind::kPayload;
     wire.created = payload.created;
-    const Seconds waited = sim_.now() - payload.created;
+    const Seconds waited = now - payload.created;
     stats_.queueing_delay.add(waited);
     stats_.delay_p50.add(waited);
     stats_.delay_p95.add(waited);
@@ -71,7 +84,7 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
     feedback.emitted_payload = true;
   } else if (policy_->spend_dummy(feedback)) {
     wire.kind = PacketKind::kDummy;
-    wire.created = sim_.now();
+    wire.created = now;
     ++stats_.dummy_out;
     stats_.padding_bytes += static_cast<std::uint64_t>(wire_bytes_);
     feedback.emitted_dummy = true;
@@ -79,17 +92,14 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
     // The queue-feedback seam in action: the policy declined to pad, so
     // this interrupt puts nothing on the wire.
     ++stats_.suppressed_fires;
-    emit = false;
+    out.emits = false;
   }
   feedback.queue_depth = queue_.size();
 
-  const Seconds emit_time = sim_.now() + delay;
-  if (emit) {
+  const Seconds emit_time = now + delay;
+  if (out.emits) {
     wire.id = next_wire_id_++;
-    sim_.schedule_at(emit_time, [this, wire, emit_time]() mutable {
-      wire.emitted = emit_time;
-      downstream_.on_packet(wire, emit_time);
-    });
+    wire.emitted = emit_time;
   }
 
   // Absolute (drift-free) scheduling of the next designed interrupt; the
@@ -98,8 +108,24 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
   next_designed_fire_ += policy_->next_interval(rng_);
   // A grossly delayed interrupt cannot overtake the next one on real
   // hardware; the kernel coalesces. Model: push the schedule if needed.
+  // The next fire therefore never precedes this emission, so at most one
+  // emission is ever in flight.
   if (next_designed_fire_ <= emit_time) next_designed_fire_ = emit_time + 1e-9;
-  sim_.schedule_timer_at(next_designed_fire_, *this);
+  out.next_fire = next_designed_fire_;
+  return out;
+}
+
+void PaddingGateway::on_timer(Seconds now) {
+  const GatewayFire fired = fire(now);
+  if (fired.emits) {
+    // Scheduled before the next fire, so it takes the lower sequence number
+    // and runs first even when the push left both at the same time.
+    sim_->schedule_at(fired.wire.emitted,
+                      [sink = downstream_, wire = fired.wire]() {
+                        sink->on_packet(wire, wire.emitted);
+                      });
+  }
+  sim_->schedule_timer_at(fired.next_fire, *this);
 }
 
 }  // namespace linkpad::sim

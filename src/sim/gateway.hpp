@@ -47,13 +47,31 @@ struct GatewayStats {
   stats::P2Quantile delay_p99{0.99};
 };
 
-/// Sender-side padding gateway. The interrupt timer rides the scheduler's
-/// TimerTask fast path: one pending heap entry per designed fire, no closure.
+/// What one timer fire decided: the packet put on the wire, if any, and
+/// when the next designed fire is due.
+struct GatewayFire {
+  bool emits = false;      ///< false: the policy suppressed this fire
+  Packet wire;             ///< valid when `emits`; wire.emitted = emit time
+  Seconds next_fire = 0;   ///< next designed interrupt, after the emission
+};
+
+/// Sender-side padding gateway. The interrupt routine is `arm()` plus
+/// `fire()`, which schedule nothing: sim::Testbed's own event loop calls
+/// them directly. Built on a Simulation, the gateway instead drives itself
+/// through the scheduler's TimerTask fast path (`start()`, `on_timer()`),
+/// one pending heap entry per designed fire and one closure per emission.
 class PaddingGateway final : public PacketSink, public TimerTask {
  public:
-  /// `queue_capacity` bounds the payload queue (packets beyond it drop, as a
-  /// real box would); the paper's rates (≤ 40 pps payload vs 100 pps timer)
-  /// keep the queue nearly empty.
+  /// A gateway whose caller runs the clock: arm() once, then fire() at each
+  /// designed fire time it returns. `queue_capacity` bounds the payload
+  /// queue (packets beyond it drop, as a real box would); the paper's rates
+  /// (≤ 40 pps payload vs 100 pps timer) keep the queue nearly empty.
+  PaddingGateway(std::unique_ptr<TimerPolicy> policy,
+                 const JitterParams& jitter, util::Rng& rng,
+                 int wire_bytes = 1000, std::size_t queue_capacity = 4096);
+
+  /// A gateway driven by `sim`: start() schedules its fires there and each
+  /// emission reaches `downstream` at its emit time.
   PaddingGateway(Simulation& sim, std::unique_ptr<TimerPolicy> policy,
                  const JitterParams& jitter, util::Rng& rng,
                  PacketSink& downstream, int wire_bytes = 1000,
@@ -62,11 +80,21 @@ class PaddingGateway final : public PacketSink, public TimerTask {
   /// Payload ingress (TrafficSource sink interface).
   void on_packet(const Packet& packet, Seconds now) override;
 
-  /// Designed timer interrupt S_k (TimerTask fast path).
-  void on_timer(Seconds now) override;
+  /// Arm the timer at `now`: returns the first designed fire, one interval
+  /// later.
+  Seconds arm(Seconds now);
 
-  /// Arm the timer; first designed fire after one interval from now.
+  /// The interrupt routine at designed fire time `now`: emit the
+  /// head-of-queue payload, a dummy, or nothing; then draw the next
+  /// designed fire, pushed past the emit time if the interrupt ran late.
+  GatewayFire fire(Seconds now);
+
+  /// Arm the timer on the Simulation (arm() at its current time).
   void start();
+
+  /// Designed timer interrupt S_k (TimerTask fast path): fire(), then
+  /// schedule the emission and the next fire.
+  void on_timer(Seconds now) override;
 
   [[nodiscard]] const GatewayStats& stats() const { return stats_; }
   [[nodiscard]] const TimerPolicy& policy() const { return *policy_; }
@@ -79,11 +107,11 @@ class PaddingGateway final : public PacketSink, public TimerTask {
   [[nodiscard]] PacketsPerSecond wire_rate() const;
 
  private:
-  Simulation& sim_;
+  Simulation* sim_ = nullptr;
+  PacketSink* downstream_ = nullptr;
   std::unique_ptr<TimerPolicy> policy_;
   GatewayJitterModel jitter_;
   util::Rng& rng_;
-  PacketSink& downstream_;
   int wire_bytes_;
   std::size_t queue_capacity_;
 

@@ -32,20 +32,7 @@ PacketLevelTestbed::PacketLevelTestbed(const TestbedConfig& config,
   gateway_ = std::make_unique<PaddingGateway>(sim_, config.policy->clone(),
                                               config.jitter, rng_, *next,
                                               config.wire_bytes);
-  switch (config.payload_kind) {
-    case PayloadKind::kCbr:
-      source_ = std::make_unique<CbrSource>(config.payload_rate,
-                                            config.payload_bytes);
-      break;
-    case PayloadKind::kPoisson:
-      source_ = std::make_unique<PoissonSource>(config.payload_rate,
-                                                config.payload_bytes);
-      break;
-    case PayloadKind::kOnOff:
-      source_ = std::make_unique<OnOffSource>(2.0 * config.payload_rate, 0.5,
-                                              0.5, config.payload_bytes);
-      break;
-  }
+  source_ = make_payload_source(config);
 }
 
 std::vector<Seconds> PacketLevelTestbed::collect_piats(std::size_t count) {

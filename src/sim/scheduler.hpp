@@ -2,7 +2,12 @@
 // queue. Deliberately minimal — entities schedule closures; ties are broken
 // by insertion order so runs are fully deterministic.
 //
-// Performance design (the event core bounds sweep wall-clock):
+// This general queue drives PacketLevelTestbed (routers and cross traffic)
+// and the gateway and source unit tests. sim::Testbed, which produces every
+// PIAT the experiments consume, does not use it: it runs its own three-slot
+// loop with the same (time, sequence) order (see testbed.hpp).
+//
+// Performance design:
 //  * Callbacks are `InlineCallback`s — a move-only callable with 64 bytes of
 //    inline storage. Every closure in the simulator fits, so scheduling an
 //    event never heap-allocates (a boxed fallback keeps oversized callables

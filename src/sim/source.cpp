@@ -6,31 +6,49 @@
 
 namespace linkpad::sim {
 
-// -------------------------------------------------------------- CbrSource
+// ---------------------------------------------------------- TrafficSource
 
-CbrSource::CbrSource(PacketsPerSecond rate, int packet_bytes, bool random_phase)
-    : rate_(rate), packet_bytes_(packet_bytes), random_phase_(random_phase) {
-  LINKPAD_EXPECTS(rate > 0.0);
+TrafficSource::TrafficSource(int packet_bytes) : packet_bytes_(packet_bytes) {
   LINKPAD_EXPECTS(packet_bytes > 0);
 }
 
-void CbrSource::start(Simulation& sim, PacketSink& sink, util::Rng& rng) {
-  sim_ = &sim;
-  sink_ = &sink;
-  const Seconds period = 1.0 / rate_;
-  const Seconds phase = random_phase_ ? rng.uniform(0.0, period) : 0.0;
-  sim.schedule_timer_in(phase, *this);
-}
-
-void CbrSource::on_timer(Seconds now) {
+Packet TrafficSource::next_packet(Seconds now) {
   Packet p;
   p.id = next_id_++;
   p.kind = PacketKind::kPayload;
   p.flow = FlowId::kMonitored;
   p.size_bytes = packet_bytes_;
   p.created = now;
-  sink_->on_packet(p, now);
-  sim_->schedule_timer_in(1.0 / rate_, *this);
+  return p;
+}
+
+void TrafficSource::start(Simulation& sim, PacketSink& sink, util::Rng& rng) {
+  sim_ = &sim;
+  sink_ = &sink;
+  rng_ = &rng;
+  sim.schedule_timer_at(first_arrival(sim.now(), rng), *this);
+}
+
+void TrafficSource::on_timer(Seconds now) {
+  sink_->on_packet(next_packet(now), now);
+  sim_->schedule_timer_at(next_arrival(now, *rng_), *this);
+}
+
+// -------------------------------------------------------------- CbrSource
+
+CbrSource::CbrSource(PacketsPerSecond rate, int packet_bytes, bool random_phase)
+    : TrafficSource(packet_bytes), rate_(rate), random_phase_(random_phase) {
+  LINKPAD_EXPECTS(rate > 0.0);
+}
+
+Seconds CbrSource::first_arrival(Seconds now, util::Rng& rng) {
+  const Seconds period = 1.0 / rate_;
+  const Seconds phase = random_phase_ ? rng.uniform(0.0, period) : 0.0;
+  return now + phase;
+}
+
+Seconds CbrSource::next_arrival(Seconds now, util::Rng& /*rng*/) {
+  return now + 1.0 / rate_;
 }
 
 std::string CbrSource::name() const {
@@ -42,32 +60,16 @@ std::string CbrSource::name() const {
 // ---------------------------------------------------------- PoissonSource
 
 PoissonSource::PoissonSource(PacketsPerSecond rate, int packet_bytes)
-    : rate_(rate), packet_bytes_(packet_bytes) {
+    : TrafficSource(packet_bytes), rate_(rate) {
   LINKPAD_EXPECTS(rate > 0.0);
-  LINKPAD_EXPECTS(packet_bytes > 0);
 }
 
-void PoissonSource::start(Simulation& sim, PacketSink& sink, util::Rng& rng) {
-  sim_ = &sim;
-  sink_ = &sink;
-  rng_ = &rng;
-  schedule_next();
+Seconds PoissonSource::first_arrival(Seconds now, util::Rng& rng) {
+  return next_arrival(now, rng);
 }
 
-void PoissonSource::schedule_next() {
-  const Seconds gap = stats::Exponential(1.0 / rate_).sample(*rng_);
-  sim_->schedule_timer_in(gap, *this);
-}
-
-void PoissonSource::on_timer(Seconds now) {
-  Packet p;
-  p.id = next_id_++;
-  p.kind = PacketKind::kPayload;
-  p.flow = FlowId::kMonitored;
-  p.size_bytes = packet_bytes_;
-  p.created = now;
-  sink_->on_packet(p, now);
-  schedule_next();
+Seconds PoissonSource::next_arrival(Seconds now, util::Rng& rng) {
+  return now + stats::Exponential(1.0 / rate_).sample(rng);
 }
 
 std::string PoissonSource::name() const {
@@ -80,8 +82,10 @@ std::string PoissonSource::name() const {
 
 OnOffSource::OnOffSource(PacketsPerSecond on_rate, Seconds mean_on,
                          Seconds mean_off, int packet_bytes)
-    : on_rate_(on_rate), mean_on_(mean_on), mean_off_(mean_off),
-      packet_bytes_(packet_bytes) {
+    : TrafficSource(packet_bytes),
+      on_rate_(on_rate),
+      mean_on_(mean_on),
+      mean_off_(mean_off) {
   LINKPAD_EXPECTS(on_rate > 0.0);
   LINKPAD_EXPECTS(mean_on > 0.0);
   LINKPAD_EXPECTS(mean_off > 0.0);
@@ -91,46 +95,28 @@ PacketsPerSecond OnOffSource::mean_rate() const {
   return on_rate_ * mean_on_ / (mean_on_ + mean_off_);
 }
 
-void OnOffSource::start(Simulation& sim, PacketSink& sink, util::Rng& rng) {
-  sim_ = &sim;
-  sink_ = &sink;
-  rng_ = &rng;
+Seconds OnOffSource::first_arrival(Seconds now, util::Rng& rng) {
   on_ = true;
-  state_ends_ = sim.now() + stats::Exponential(mean_on_).sample(rng);
-  schedule_next();
+  state_ends_ = now + stats::Exponential(mean_on_).sample(rng);
+  return next_arrival(now, rng);
 }
 
-void OnOffSource::schedule_next() {
+Seconds OnOffSource::next_arrival(Seconds now, util::Rng& rng) {
   // Advance through OFF periods until the next emission instant.
-  Seconds t = sim_->now();
+  Seconds t = now;
   for (;;) {
     if (on_) {
-      const Seconds gap = stats::Exponential(1.0 / on_rate_).sample(*rng_);
-      if (t + gap <= state_ends_) {
-        t += gap;
-        break;
-      }
+      const Seconds gap = stats::Exponential(1.0 / on_rate_).sample(rng);
+      if (t + gap <= state_ends_) return t + gap;
       t = state_ends_;
       on_ = false;
-      state_ends_ = t + stats::Exponential(mean_off_).sample(*rng_);
+      state_ends_ = t + stats::Exponential(mean_off_).sample(rng);
     } else {
       t = state_ends_;
       on_ = true;
-      state_ends_ = t + stats::Exponential(mean_on_).sample(*rng_);
+      state_ends_ = t + stats::Exponential(mean_on_).sample(rng);
     }
   }
-  sim_->schedule_timer_at(t, *this);
-}
-
-void OnOffSource::on_timer(Seconds now) {
-  Packet p;
-  p.id = next_id_++;
-  p.kind = PacketKind::kPayload;
-  p.flow = FlowId::kMonitored;
-  p.size_bytes = packet_bytes_;
-  p.created = now;
-  sink_->on_packet(p, now);
-  schedule_next();
 }
 
 std::string OnOffSource::name() const {

@@ -7,8 +7,11 @@
 // timer interval, so the detection-rate shape should survive a change of
 // payload process (tested in the ablations).
 //
-// Sources are periodic entities, so they ride the scheduler's TimerTask
-// fast path: one pending timer entry per source, no closure per packet.
+// Each source is an arrival rule: first_arrival() and next_arrival() draw
+// the next arrival time and schedule nothing. sim::Testbed's event loop
+// calls them directly; on a Simulation, start() and on_timer() wrap the
+// same calls on the scheduler's TimerTask fast path (one pending timer
+// entry per source, no closure per packet).
 #pragma once
 
 #include <memory>
@@ -22,87 +25,93 @@
 
 namespace linkpad::sim {
 
-/// A DES entity that generates payload packets into a sink.
-class TrafficSource {
+/// A payload packet generator: an arrival rule plus a packet stamp.
+class TrafficSource : public TimerTask {
  public:
   virtual ~TrafficSource() = default;
 
+  /// Time of the first arrival when generation begins at `now`.
+  [[nodiscard]] virtual Seconds first_arrival(Seconds now, util::Rng& rng) = 0;
+
+  /// Time of the arrival that follows the one at `now`.
+  [[nodiscard]] virtual Seconds next_arrival(Seconds now, util::Rng& rng) = 0;
+
+  /// The payload packet arriving at `now` (ids count up from 0).
+  [[nodiscard]] Packet next_packet(Seconds now);
+
   /// Begin generating at the simulation's current time. The source keeps
   /// references to all three arguments until the simulation ends.
-  virtual void start(Simulation& sim, PacketSink& sink, util::Rng& rng) = 0;
+  void start(Simulation& sim, PacketSink& sink, util::Rng& rng);
+
+  /// Deliver the packet due now, then schedule the next arrival.
+  void on_timer(Seconds now) final;
 
   /// Long-run average rate in packets/second.
   [[nodiscard]] virtual PacketsPerSecond mean_rate() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+ protected:
+  explicit TrafficSource(int packet_bytes);
+
+ private:
+  int packet_bytes_;
+  PacketId next_id_ = 0;
+  Simulation* sim_ = nullptr;
+  PacketSink* sink_ = nullptr;
+  util::Rng* rng_ = nullptr;
 };
 
 /// Constant bit rate: one packet every 1/rate seconds, with an optional
 /// random phase so different trials do not align with the padding timer.
-class CbrSource final : public TrafficSource, public TimerTask {
+class CbrSource final : public TrafficSource {
  public:
   CbrSource(PacketsPerSecond rate, int packet_bytes, bool random_phase = true);
 
-  void start(Simulation& sim, PacketSink& sink, util::Rng& rng) override;
-  void on_timer(Seconds now) override;
+  [[nodiscard]] Seconds first_arrival(Seconds now, util::Rng& rng) override;
+  [[nodiscard]] Seconds next_arrival(Seconds now, util::Rng& rng) override;
   [[nodiscard]] PacketsPerSecond mean_rate() const override { return rate_; }
   [[nodiscard]] std::string name() const override;
 
  private:
   PacketsPerSecond rate_;
-  int packet_bytes_;
   bool random_phase_;
-  PacketId next_id_ = 0;
-  Simulation* sim_ = nullptr;
-  PacketSink* sink_ = nullptr;
 };
 
 /// Poisson arrivals at a given mean rate.
-class PoissonSource final : public TrafficSource, public TimerTask {
+class PoissonSource final : public TrafficSource {
  public:
   PoissonSource(PacketsPerSecond rate, int packet_bytes);
 
-  void start(Simulation& sim, PacketSink& sink, util::Rng& rng) override;
-  void on_timer(Seconds now) override;
+  [[nodiscard]] Seconds first_arrival(Seconds now, util::Rng& rng) override;
+  [[nodiscard]] Seconds next_arrival(Seconds now, util::Rng& rng) override;
   [[nodiscard]] PacketsPerSecond mean_rate() const override { return rate_; }
   [[nodiscard]] std::string name() const override;
 
  private:
-  void schedule_next();
-
   PacketsPerSecond rate_;
-  int packet_bytes_;
-  PacketId next_id_ = 0;
-  Simulation* sim_ = nullptr;
-  PacketSink* sink_ = nullptr;
-  util::Rng* rng_ = nullptr;
 };
 
 /// Two-state ON/OFF source: Poisson bursts at `on_rate` during exponential
 /// ON periods, silence during exponential OFF periods.
-class OnOffSource final : public TrafficSource, public TimerTask {
+class OnOffSource final : public TrafficSource {
  public:
   OnOffSource(PacketsPerSecond on_rate, Seconds mean_on, Seconds mean_off,
               int packet_bytes);
 
-  void start(Simulation& sim, PacketSink& sink, util::Rng& rng) override;
-  void on_timer(Seconds now) override;
+  /// Starts in an ON period.
+  [[nodiscard]] Seconds first_arrival(Seconds now, util::Rng& rng) override;
+  /// Walks through state changes until the next emission instant.
+  [[nodiscard]] Seconds next_arrival(Seconds now, util::Rng& rng) override;
   [[nodiscard]] PacketsPerSecond mean_rate() const override;
   [[nodiscard]] std::string name() const override;
 
  private:
-  void schedule_next();
-
   PacketsPerSecond on_rate_;
   Seconds mean_on_;
   Seconds mean_off_;
-  int packet_bytes_;
   bool on_ = false;
   Seconds state_ends_ = 0;
-  PacketId next_id_ = 0;
-  Simulation* sim_ = nullptr;
-  PacketSink* sink_ = nullptr;
-  util::Rng* rng_ = nullptr;
 };
 
 /// Factory helpers used by scenario presets.

@@ -1,43 +1,88 @@
 #include "sim/testbed.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/check.hpp"
 
 namespace linkpad::sim {
 
-void Testbed::TapAdapter::on_packet(const Packet& packet, Seconds now) {
-  if (packet.flow != FlowId::kMonitored) return;
-  out_.push_back(path_.traverse(now, rng_));
+namespace {
+
+std::unique_ptr<TimerPolicy> clone_policy(const TestbedConfig& config) {
+  LINKPAD_EXPECTS(config.policy != nullptr);
+  return config.policy->clone();
+}
+
+}  // namespace
+
+std::unique_ptr<TrafficSource> make_payload_source(
+    const TestbedConfig& config) {
+  switch (config.payload_kind) {
+    case PayloadKind::kCbr:
+      return std::make_unique<CbrSource>(config.payload_rate,
+                                         config.payload_bytes);
+    case PayloadKind::kPoisson:
+      return std::make_unique<PoissonSource>(config.payload_rate,
+                                             config.payload_bytes);
+    case PayloadKind::kOnOff:
+      // 50% duty cycle bursts at twice the mean rate, 1 s mean period.
+      return std::make_unique<OnOffSource>(2.0 * config.payload_rate, 0.5,
+                                           0.5, config.payload_bytes);
+  }
+  throw std::invalid_argument("make_payload_source: unknown PayloadKind");
 }
 
 Testbed::Testbed(const TestbedConfig& config, util::Rng& rng)
     : config_(config),
       rng_(rng),
-      path_(config.hops_before_tap, config.wire_bytes) {
-  LINKPAD_EXPECTS(config.policy != nullptr);
+      path_(config.hops_before_tap, config.wire_bytes),
+      gateway_(clone_policy(config), config.jitter, rng, config.wire_bytes),
+      source_(make_payload_source(config)) {
   LINKPAD_EXPECTS(config.payload_rate > 0.0);
+}
 
-  tap_ = std::make_unique<TapAdapter>(path_, rng_, tap_arrivals_);
-  gateway_ = std::make_unique<PaddingGateway>(
-      sim_, config.policy->clone(), config.jitter, rng_, *tap_,
-      config.wire_bytes);
-
-  switch (config.payload_kind) {
-    case PayloadKind::kCbr:
-      source_ = std::make_unique<CbrSource>(config.payload_rate,
-                                            config.payload_bytes);
-      break;
-    case PayloadKind::kPoisson:
-      source_ = std::make_unique<PoissonSource>(config.payload_rate,
-                                                config.payload_bytes);
-      break;
-    case PayloadKind::kOnOff:
-      // 50% duty cycle bursts at twice the mean rate, 1 s mean period.
-      source_ = std::make_unique<OnOffSource>(2.0 * config.payload_rate, 0.5,
-                                              0.5, config.payload_bytes);
-      break;
+void Testbed::run_until(Seconds t_end) {
+  enum class Next { kArrival, kFire, kEmission };
+  for (;;) {
+    Next next = Next::kArrival;
+    Slot slot = arrival_;
+    if (fire_ < slot) {
+      next = Next::kFire;
+      slot = fire_;
+    }
+    if (emission_pending_ && emission_ < slot) {
+      next = Next::kEmission;
+      slot = emission_;
+    }
+    if (slot.t > t_end) break;
+    const Seconds now = slot.t;
+    clock_.now_ = now;
+    ++clock_.processed_;
+    switch (next) {
+      case Next::kArrival:
+        gateway_.on_packet(source_->next_packet(now), now);
+        arrival_ = {source_->next_arrival(now, rng_), next_seq_++};
+        break;
+      case Next::kFire: {
+        const GatewayFire fired = gateway_.fire(now);
+        if (fired.emits) {
+          // The fire pushed the previous next-fire past the previous
+          // emission, so that emission has already run.
+          LINKPAD_ENSURES(!emission_pending_);
+          emission_ = {fired.wire.emitted, next_seq_++};
+          emission_pending_ = true;
+        }
+        fire_ = {fired.next_fire, next_seq_++};
+        break;
+      }
+      case Next::kEmission:
+        emission_pending_ = false;
+        tap_arrivals_.push_back(path_.traverse(now, rng_));
+        break;
+    }
   }
+  clock_.now_ = t_end;
 }
 
 std::vector<Seconds> Testbed::collect_piats(std::size_t count) {
@@ -50,8 +95,9 @@ std::vector<Seconds> Testbed::collect_piats(std::size_t count) {
 std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out) {
   LINKPAD_EXPECTS(count > 0);
   if (!started_) {
-    source_->start(sim_, *gateway_, rng_);
-    gateway_->start();
+    // The order a Simulation would schedule them in: source, then gateway.
+    arrival_ = {source_->first_arrival(clock_.now_, rng_), next_seq_++};
+    fire_ = {gateway_.arm(clock_.now_), next_seq_++};
     started_ = true;
     // PIAT k uses arrivals k-1 and k; the first `warmup_piats` PIATs are
     // transients, so the first served PIAT diffs arrivals[warmup, warmup+1].
@@ -64,10 +110,7 @@ std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out)
   const Seconds slab =
       static_cast<Seconds>(count + config_.warmup_piats + 2) *
       config_.policy->mean_interval();
-  while (tap_arrivals_.size() < target) {
-    sim_.run_until(sim_.now() + slab);
-    LINKPAD_ENSURES(!sim_.empty());  // sources reschedule forever
-  }
+  while (tap_arrivals_.size() < target) run_until(clock_.now_ + slab);
 
   for (std::size_t i = cursor_; i < target; ++i) {
     out.push_back(tap_arrivals_[i] - tap_arrivals_[i - 1]);
@@ -92,9 +135,9 @@ std::vector<Seconds> collect_piats(const TestbedConfig& config,
 }
 
 double Testbed::measured_wire_bps() const {
-  const Seconds elapsed = sim_.now();
+  const Seconds elapsed = clock_.now();
   if (elapsed <= 0.0) return 0.0;
-  const GatewayStats& gs = gateway_->stats();
+  const GatewayStats& gs = gateway_.stats();
   return 8.0 * static_cast<double>(gs.payload_bytes + gs.padding_bytes) /
          elapsed;
 }

@@ -15,8 +15,6 @@
 #include "sim/gateway.hpp"
 #include "sim/hop.hpp"
 #include "sim/packet.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/sniffer.hpp"
 #include "sim/source.hpp"
 #include "sim/timer_policy.hpp"
 #include "util/rng.hpp"
@@ -45,9 +43,35 @@ struct TestbedConfig {
   std::size_t warmup_piats = 50;
 };
 
+/// The payload source `config` describes (rate, kind, packet size).
+[[nodiscard]] std::unique_ptr<TrafficSource> make_payload_source(
+    const TestbedConfig& config);
+
 /// One assembled, runnable instance of the system under test.
+///
+/// The testbed runs its own event loop instead of a sim::Simulation. It can
+/// only ever have three events pending — the next payload arrival, the
+/// gateway's next designed fire and at most one emission in flight (a fire
+/// always pushes the next fire past its own emit time) — so it keeps one
+/// slot for each and calls the gateway, the source and the path directly.
+/// Events run in (time, sequence) order exactly as on a Simulation, with
+/// sequence numbers taken at the same points, so every draw from the
+/// shared RNG happens in the same order (DESIGN.md §2.1).
 class Testbed {
  public:
+  /// Virtual clock and event counter of the testbed's loop, read the same
+  /// way as a sim::Simulation's.
+  class Clock {
+   public:
+    [[nodiscard]] Seconds now() const { return now_; }
+    [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
+
+   private:
+    friend class Testbed;
+    Seconds now_ = 0;
+    std::uint64_t processed_ = 0;
+  };
+
   /// `rng` drives every stochastic element of this run; pass engines from
   /// RngFactory substreams for reproducible parallel experiments.
   Testbed(const TestbedConfig& config, util::Rng& rng);
@@ -64,9 +88,9 @@ class Testbed {
   std::size_t collect_piats(std::size_t count, std::vector<Seconds>& out);
 
   [[nodiscard]] const GatewayStats& gateway_stats() const {
-    return gateway_->stats();
+    return gateway_.stats();
   }
-  [[nodiscard]] const Simulation& simulation() const { return sim_; }
+  [[nodiscard]] const Clock& simulation() const { return clock_; }
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
 
   /// MEASURED on-wire bandwidth so far: emitted wire bytes (payload +
@@ -76,28 +100,33 @@ class Testbed {
   [[nodiscard]] double measured_wire_bps() const;
 
  private:
-  // Adapter: receives GW1 emissions, pushes them through the analytic path
-  // and records tap arrival times.
-  class TapAdapter final : public PacketSink {
-   public:
-    TapAdapter(PathModel& path, util::Rng& rng, std::vector<Seconds>& out)
-        : path_(path), rng_(rng), out_(out) {}
-    void on_packet(const Packet& packet, Seconds now) override;
-
-   private:
-    PathModel& path_;
-    util::Rng& rng_;
-    std::vector<Seconds>& out_;
+  /// A pending event: its time and the sequence number taken when it was
+  /// scheduled.
+  struct Slot {
+    Seconds t = 0;
+    std::uint64_t seq = 0;
+    /// (t, seq) order: the earlier time first, then the earlier scheduled.
+    bool operator<(const Slot& other) const {
+      return t < other.t || (t == other.t && seq < other.seq);
+    }
   };
+
+  /// Run every event at or before `t_end` in (t, seq) order, then leave
+  /// the clock at `t_end` — sim::Simulation::run_until's slab semantics.
+  void run_until(Seconds t_end);
 
   TestbedConfig config_;
   util::Rng& rng_;
-  Simulation sim_;
   PathModel path_;
-  std::vector<Seconds> tap_arrivals_;
-  std::unique_ptr<TapAdapter> tap_;
-  std::unique_ptr<PaddingGateway> gateway_;
+  PaddingGateway gateway_;
   std::unique_ptr<TrafficSource> source_;
+  Clock clock_;
+  std::uint64_t next_seq_ = 0;
+  Slot arrival_;
+  Slot fire_;
+  Slot emission_;
+  bool emission_pending_ = false;
+  std::vector<Seconds> tap_arrivals_;
   bool started_ = false;
   std::size_t cursor_ = 0;  ///< index of the next tap arrival to diff against
 };

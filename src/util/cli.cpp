@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -25,11 +26,18 @@ std::optional<std::int64_t> parse_integer_text(const std::string& text) {
   }
 }
 
+std::optional<std::size_t> parse_count_text(const std::string& text) {
+  const auto v = parse_integer_text(text);
+  if (!v || *v < 0) return std::nullopt;
+  return static_cast<std::size_t>(*v);
+}
+
+/// Finite numbers only: no option of a driver means anything at nan or inf.
 std::optional<double> parse_number_text(const std::string& text) {
   try {
     std::size_t used = 0;
     const double v = std::stod(text, &used);
-    if (used != text.size()) return std::nullopt;
+    if (used != text.size() || !std::isfinite(v)) return std::nullopt;
     return v;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -61,6 +69,11 @@ void ArgParser::add_option(const std::string& name,
 void ArgParser::add_int(const std::string& name, std::int64_t default_value,
                         const std::string& help_text) {
   declare(name, Spec{help_text, std::to_string(default_value), Kind::kInt});
+}
+
+void ArgParser::add_count(const std::string& name, std::size_t default_value,
+                          const std::string& help_text) {
+  declare(name, Spec{help_text, std::to_string(default_value), Kind::kCount});
 }
 
 void ArgParser::add_num(const std::string& name, double default_value,
@@ -106,16 +119,19 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     }
     // Typed options are validated HERE, while the offending token is still
     // attributable to the command line — not at first accessor use.
-    if (it->second.kind == Kind::kInt &&
-        !parse_integer_text(values_[name]).has_value()) {
-      std::cerr << program_ << ": option '" << name << "': '" << values_[name]
-                << "' is not an integer\n";
-      return false;
+    const Kind kind = it->second.kind;
+    const std::string& value = values_[name];
+    const char* problem = nullptr;
+    if (kind == Kind::kInt && !parse_integer_text(value)) {
+      problem = "is not an integer";
+    } else if (kind == Kind::kCount && !parse_count_text(value)) {
+      problem = "is not a count (a non-negative integer)";
+    } else if (kind == Kind::kNum && !parse_number_text(value)) {
+      problem = "is not a finite number";
     }
-    if (it->second.kind == Kind::kNum &&
-        !parse_number_text(values_[name]).has_value()) {
-      std::cerr << program_ << ": option '" << name << "': '" << values_[name]
-                << "' is not a number\n";
+    if (problem != nullptr) {
+      std::cerr << program_ << ": option '" << name << "': '" << value
+                << "' " << problem << "\n";
       return false;
     }
   }
@@ -148,7 +164,7 @@ double ArgParser::num(const std::string& name) const {
   const auto v = parse_number_text(text);
   if (!v) {
     throw std::invalid_argument("option " + name + ": '" + text +
-                                "' is not a number");
+                                "' is not a finite number");
   }
   return *v;
 }
@@ -163,33 +179,37 @@ std::int64_t ArgParser::integer(const std::string& name) const {
   return *v;
 }
 
+std::size_t ArgParser::count(const std::string& name) const {
+  const std::string text = str(name);
+  const auto v = parse_count_text(text);
+  if (!v) {
+    throw std::invalid_argument("option " + name + ": '" + text +
+                                "' is not a count");
+  }
+  return *v;
+}
+
 std::string ArgParser::help() const {
   std::ostringstream out;
   out << program_ << " — " << summary_ << "\n\nOptions:\n";
   for (const auto& name : order_) {
     const Spec& spec = specs_.at(name);
     out << "  " << name;
+    const char* type = nullptr;
     switch (spec.kind) {
       case Kind::kFlag: break;
-      case Kind::kString: out << " <value = " << spec.default_value << ">"; break;
-      case Kind::kInt: out << " <int = " << spec.default_value << ">"; break;
-      case Kind::kNum: out << " <num = " << spec.default_value << ">"; break;
+      case Kind::kString: type = "value"; break;
+      case Kind::kInt: type = "int"; break;
+      case Kind::kCount: type = "count"; break;
+      case Kind::kNum: type = "num"; break;
+    }
+    if (type != nullptr) {
+      out << " <" << type << " = " << spec.default_value << ">";
     }
     out << "\n      " << spec.help << "\n";
   }
   out << "  --help\n      Show this message.\n";
   return out.str();
-}
-
-std::vector<double> parse_double_list(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(std::stod(item));
-  }
-  return out;
 }
 
 }  // namespace linkpad::util

@@ -5,6 +5,7 @@
 // ignored in an experiment harness).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -30,7 +31,12 @@ class ArgParser {
   /// in the generated --help.
   void add_int(const std::string& name, std::int64_t default_value,
                const std::string& help);
-  /// Declare a typed real-number option (same parse-time validation).
+  /// Declare a typed count option: an integer that must not be negative,
+  /// so `--windows -5` fails at parse time instead of wrapping to 2^64 − 5.
+  void add_count(const std::string& name, std::size_t default_value,
+                 const std::string& help);
+  /// Declare a typed real-number option (same parse-time validation). NaN
+  /// and ±inf are refused.
   void add_num(const std::string& name, double default_value,
                const std::string& help);
 
@@ -42,12 +48,14 @@ class ArgParser {
   [[nodiscard]] std::string str(const std::string& name) const;
   [[nodiscard]] double num(const std::string& name) const;
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
+  /// The option as a count; throws std::invalid_argument if it is negative.
+  [[nodiscard]] std::size_t count(const std::string& name) const;
 
   /// Render the --help text.
   [[nodiscard]] std::string help() const;
 
  private:
-  enum class Kind { kFlag, kString, kInt, kNum };
+  enum class Kind { kFlag, kString, kInt, kCount, kNum };
   struct Spec {
     std::string help;
     std::string default_value;
@@ -62,8 +70,5 @@ class ArgParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> order_;
 };
-
-/// Parses a comma-separated list of doubles ("1,2.5,10").
-std::vector<double> parse_double_list(const std::string& text);
 
 }  // namespace linkpad::util

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "sim/testbed.hpp"
 #include "util/rng.hpp"
 
 namespace linkpad::core {
@@ -345,6 +352,154 @@ TEST_F(TraceIoTest, DuplicateTimestampRunsSurviveRoundTrip) {
   save_trace_binary(path("dup.lpt"), t);
   expect_traces_bitwise_equal(load_trace_binary(path("dup.lpt")), t,
                               "dup binary");
+}
+
+// ------------------------------------------------------- mutation fuzzing
+
+class TraceFuzz : public TraceIoTest {};
+
+std::string read_bytes(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Real trace files in both formats: two simulated captures (CIT at the
+/// lab's two payload rates), a random trace of edge values, and an empty
+/// trace.
+std::vector<std::string> trace_sources(const std::string& scratch) {
+  std::vector<Trace> traces;
+  for (const double rate : {10.0, 40.0}) {
+    sim::TestbedConfig config;
+    config.policy = std::make_shared<sim::ConstantIntervalTimer>(10e-3);
+    config.payload_rate = rate;
+    util::Rng rng(static_cast<std::uint64_t>(rate));
+    Trace t;
+    t.description = "lab CIT capture at " + std::to_string(rate) + " pps";
+    t.piats = sim::collect_piats(config, rng, 96);
+    traces.push_back(std::move(t));
+  }
+  util::Rng rng(11);
+  traces.push_back(random_trace(rng, 40));
+  traces.push_back(Trace{"empty", {}});
+
+  std::vector<std::string> sources;
+  for (const Trace& t : traces) {
+    save_trace_csv(scratch, t);
+    sources.push_back(read_bytes(scratch));
+    save_trace_binary(scratch, t);
+    sources.push_back(read_bytes(scratch));
+  }
+  return sources;
+}
+
+/// One seeded mutation of one source: truncate, flip a bit, insert
+/// punctuation, splice in a slice of another source, or set a count field
+/// (LPT1's description length or PIAT count; a CSV value line) to an edge
+/// value.
+std::string mutate_trace(const std::vector<std::string>& sources,
+                         util::Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return std::min(n - 1, static_cast<std::size_t>(rng.uniform01() *
+                                                    static_cast<double>(n)));
+  };
+  std::string text = sources[pick(sources.size())];
+  constexpr std::uint64_t kEdges[] = {0, 1, 1ULL << 32, (1ULL << 63) + 2,
+                                      ~0ULL};
+  switch (pick(5)) {
+    case 0:
+      text.resize(pick(text.size() + 1));
+      break;
+    case 1: {
+      char& c = text[pick(text.size())];
+      c = static_cast<char>(c ^ (1 << pick(8)));
+      break;
+    }
+    case 2: {
+      const std::string_view punctuation = "#,.-+eE \n\r\t";
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                     pick(text.size() + 1)),
+                  punctuation[pick(punctuation.size())]);
+      break;
+    }
+    case 3: {
+      const std::string& other = sources[pick(sources.size())];
+      const std::size_t from = pick(other.size());
+      const std::size_t length = pick(other.size() - from + 1);
+      const std::size_t at = pick(text.size() + 1);
+      const std::size_t cut = pick(text.size() - at + 1);
+      text.replace(at, cut, other, from, length);
+      break;
+    }
+    default: {
+      const std::uint64_t edge = kEdges[pick(std::size(kEdges))];
+      if (text.rfind("LPT1", 0) == 0) {
+        // Header: magic, u64 description length, description, u64 count.
+        std::uint64_t desc_len = 0;
+        std::memcpy(&desc_len, text.data() + 4, sizeof(desc_len));
+        const std::size_t at = rng.uniform01() < 0.5 ? 4 : 12 + desc_len;
+        std::memcpy(text.data() + at, &edge, sizeof(edge));
+      } else {
+        // Replace the value on a random line that does not start a comment.
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < text.size(); ++i) {
+          if ((i == 0 || text[i - 1] == '\n') && text[i] != '#') {
+            starts.push_back(i);
+          }
+        }
+        if (starts.empty()) break;
+        const std::size_t at = starts[pick(starts.size())];
+        const std::size_t end = std::min(text.find('\n', at), text.size());
+        text.replace(at, end - at, std::to_string(edge));
+      }
+      break;
+    }
+  }
+  return text;
+}
+
+TEST_F(TraceFuzz, MutatedTracesLoadOrFailByName) {
+  // Trace files come from other machines and other tools: every byte
+  // sequence must load or throw std::runtime_error — never crash or raise
+  // anything else — through both loaders. What loads saves and reloads to
+  // the same trace, bit for bit.
+  const auto sources = trace_sources(path("source"));
+  util::Rng rng(20030324);
+  std::size_t loaded = 0;
+  std::size_t refused = 0;
+  const std::string file = path("variant");
+  for (int variant = 0; variant < 10000; ++variant) {
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      const std::string text = mutate_trace(sources, rng);
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    }
+    for (const bool binary : {false, true}) {
+      try {
+        const Trace once =
+            binary ? load_trace_binary(file) : load_trace_csv(file);
+        const std::string again = path("again");
+        if (binary) {
+          save_trace_binary(again, once);
+          expect_traces_bitwise_equal(load_trace_binary(again), once,
+                                      "variant " + std::to_string(variant));
+        } else {
+          save_trace_csv(again, once);
+          expect_traces_bitwise_equal(load_trace_csv(again), once,
+                                      "variant " + std::to_string(variant));
+        }
+        ++loaded;
+      } catch (const std::runtime_error&) {
+        ++refused;
+      } catch (const std::exception& err) {
+        ADD_FAILURE() << "variant " << variant << " (binary " << binary
+                      << ") threw something else: " << err.what();
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Both outcomes must be common, or the mutations test nothing.
+  EXPECT_GT(loaded, 1000u);
+  EXPECT_GT(refused, 1000u);
 }
 
 }  // namespace
