@@ -4,7 +4,8 @@
 // pattern), PIAT generation through the full testbed, feature extraction
 // (batch extractors vs streaming window accumulators vs the five-feature
 // DetectorBank inner loop), the streaming change-point update loop
-// (two-sided CUSUM / adaptive-EWMA per-PIAT cost), KDE evaluation, the
+// (two-sided CUSUM / adaptive-EWMA per-PIAT cost) and the CUSUM threshold
+// calibration replay, KDE evaluation, the
 // M/G/1 stationary-wait
 // sampler, normal sampling (polar vs Ziggurat) and the prefix-replay
 // curve pipeline (Fig 4(b)'s detection-vs-n workload, one engine run per
@@ -31,6 +32,7 @@
 
 #include <thread>
 
+#include "classify/cpd.hpp"
 #include "classify/feature.hpp"
 #include "classify/window_accumulator.hpp"
 #include "core/experiment.hpp"
@@ -57,6 +59,7 @@ namespace {
 struct BenchResult {
   std::string name;
   std::string unit;        ///< what "items" counts (events, piats, samples)
+  std::string path;        ///< host-dependent code path that ran, if any
   double items_per_sec = 0.0;
   double items = 0.0;
   double wall_s = 0.0;
@@ -319,8 +322,9 @@ void print_table(const std::vector<BenchResult>& results,
   std::printf("%-36s %14s %12s %10s\n", "benchmark", "items/sec", "items",
               "wall (s)");
   for (const auto& r : results) {
-    std::printf("%-36s %14.3e %12.0f %10.3f   [%s]\n", r.name.c_str(),
-                r.items_per_sec, r.items, r.wall_s, r.unit.c_str());
+    std::printf("%-36s %14.3e %12.0f %10.3f   [%s]%s%s\n", r.name.c_str(),
+                r.items_per_sec, r.items, r.wall_s, r.unit.c_str(),
+                r.path.empty() ? "" : " path: ", r.path.c_str());
   }
   std::printf("\nevent core speedup on CIT testbed workload: %.2fx\n",
               derived.event_core_speedup_cit);
@@ -364,10 +368,13 @@ void print_json(const std::vector<BenchResult>& results,
               hw_threads);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
+    const std::string path =
+        r.path.empty() ? "" : ", \"path\": \"" + r.path + "\"";
     std::printf("    {\"name\": \"%s\", \"unit\": \"%s\", "
-                "\"items_per_sec\": %.6e, \"items\": %.0f, \"wall_s\": %.6f}%s\n",
+                "\"items_per_sec\": %.6e, \"items\": %.0f, "
+                "\"wall_s\": %.6f%s}%s\n",
                 r.name.c_str(), r.unit.c_str(), r.items_per_sec, r.items,
-                r.wall_s, i + 1 < results.size() ? "," : "");
+                r.wall_s, path.c_str(), i + 1 < results.size() ? "," : "");
   }
   std::printf("  ],\n  \"derived\": {\n"
               "    \"event_core_speedup_cit\": %.4f,\n"
@@ -708,6 +715,24 @@ int main(int argc, char** argv) try {
         derived.cpd_updates_per_sec = results.back().items_per_sec;
       }
     }
+
+    // Monte-Carlo threshold calibration of a CUSUM on the same pools at
+    // the default horizon and trial count. Items are replay steps (one
+    // draw and one fold: trials × 2 sides × horizon per call, the llr
+    // table included in the time). `path` records whether the AVX2 lanes
+    // or the scalar loop ran on this host; the row name stays fixed.
+    const classify::CpdConfig config;
+    const auto model = classify::CpdModel::train(config, pools);
+    const std::uint64_t steps = config.trials * 2 * config.horizon;
+    results.push_back(
+        run_bench("cpd/calibrate_replay", "steps", min_time, [&] {
+          const double h = classify::calibrate_threshold(
+              model, pools, 0.05, config.horizon, config.trials,
+              config.calibration_seed);
+          return steps + (h < 0.0 ? 1 : 0);
+        }));
+    results.back().path =
+        classify::calibration_replays_in_lanes() ? "lanes" : "scalar";
   }
 
   // Standard-normal sampling: Marsaglia polar (the reference every figure

@@ -201,11 +201,17 @@ class CpdModel {
 /// quantile of the per-trial max statistic. Serial and fully determined by
 /// (model parameters, class_samples, config.calibration_seed). CUSUM costs
 /// O(pool) llr() evaluations plus O(trials·horizon) table-driven folds,
-/// bitwise equal to replaying each trial through max_statistic();
+/// bitwise equal to replaying each trial through max_statistic(), four
+/// trials at a time in AVX2 lanes where the host has them;
 /// adaptive-EWMA replays through max_statistic() itself.
 [[nodiscard]] double calibrate_threshold(
     const CpdModel& model,
     const std::vector<std::vector<double>>& class_samples, double target_far,
     std::size_t horizon, std::size_t trials, std::uint64_t seed);
+
+/// Whether this host runs calibrate_threshold's CUSUM replay in AVX2 lanes
+/// (x86-64 with AVX2). Otherwise, and for the trials % 4 tail, the scalar
+/// loop runs; both give the same bits.
+[[nodiscard]] bool calibration_replays_in_lanes();
 
 }  // namespace linkpad::classify

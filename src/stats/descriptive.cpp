@@ -96,36 +96,78 @@ double sample_stddev(std::span<const double> xs) {
   return std::sqrt(sample_variance(xs));
 }
 
+namespace {
+
+/// Where quantile q of n sorted values sits: it interpolates sorted[lo]
+/// and sorted[hi] (hi = lo + 1, clipped to n − 1) with weight frac on hi.
+struct QuantilePosition {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+QuantilePosition quantile_position(std::size_t n, double q) {
+  LINKPAD_EXPECTS(n > 0);
+  const double pos = q * static_cast<double>(n - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+double interpolate(double at_lo, double at_hi, double frac) {
+  // At an exact position the partner has weight zero, and inf · 0 is NaN.
+  if (frac == 0.0 && !std::isfinite(at_hi)) return at_lo;
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+/// quantile_sorted's value at position p, by selection. v must hold the
+/// v.size() smallest of the values being ranked (all of them, or the front
+/// part an earlier call left), with v.size() > p.hi. Leaves sorted[p.lo]
+/// and sorted[p.hi] in place with only smaller values before them, so a
+/// lower quantile can select within v[0, p.hi].
+double select_quantile(std::span<double> v, const QuantilePosition& p) {
+  if (v.size() == 1) return v[0];
+  const auto lo = v.begin() + static_cast<std::ptrdiff_t>(p.lo);
+  std::nth_element(v.begin(), lo, v.end());
+  if (p.hi != p.lo) {
+    // v(lo, end) now holds exactly sorted(lo, end): its minimum is
+    // sorted[lo + 1].
+    std::iter_swap(lo + 1, std::min_element(lo + 1, v.end()));
+  }
+  return interpolate(*lo, v[p.hi], p.frac);
+}
+
+}  // namespace
+
 double quantile_sorted(std::span<const double> sorted, double q) {
   LINKPAD_EXPECTS(!sorted.empty());
   LINKPAD_EXPECTS(q >= 0.0 && q <= 1.0);
   if (sorted.size() == 1) return sorted[0];
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const auto p = quantile_position(sorted.size(), q);
+  return interpolate(sorted[p.lo], sorted[p.hi], p.frac);
 }
 
 double median(std::span<const double> xs) {
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, 0.5);
+  return select_quantile(copy, quantile_position(copy.size(), 0.5));
 }
 
 double iqr(std::span<const double> xs) {
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, 0.75) - quantile_sorted(copy, 0.25);
+  const auto upper = quantile_position(copy.size(), 0.75);
+  const double q3 = select_quantile(copy, upper);
+  const double q1 = select_quantile(std::span(copy).first(upper.hi + 1),
+                                    quantile_position(copy.size(), 0.25));
+  return q3 - q1;
 }
 
 double mad(std::span<const double> xs) {
-  const double med = median(xs);
-  std::vector<double> dev(xs.size());
+  std::vector<double> copy(xs.begin(), xs.end());
+  const auto middle = quantile_position(copy.size(), 0.5);
+  const double med = select_quantile(copy, middle);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    dev[i] = std::abs(xs[i] - med);
+    copy[i] = std::abs(xs[i] - med);
   }
-  return median(dev);
+  return select_quantile(copy, middle);
 }
 
 Summary summarize(std::span<const double> xs) {

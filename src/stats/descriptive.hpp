@@ -99,13 +99,14 @@ double sample_stddev(std::span<const double> xs);
 /// Linear-interpolated quantile of an ALREADY SORTED sample, q in [0,1].
 double quantile_sorted(std::span<const double> sorted, double q);
 
-/// Median (copies + sorts internally).
+/// Median. Copies once and selects (std::nth_element) instead of sorting;
+/// the value is quantile_sorted's over the sorted copy, bit for bit.
 double median(std::span<const double> xs);
 
-/// Interquartile range Q3 − Q1 (copies + sorts internally).
+/// Interquartile range Q3 − Q1, by selection like median().
 double iqr(std::span<const double> xs);
 
-/// Median absolute deviation about the median (copies internally).
+/// Median absolute deviation about the median, by selection like median().
 double mad(std::span<const double> xs);
 
 /// Summary of one sample: handy for test diagnostics and figure drivers.

@@ -76,6 +76,12 @@ class Xoshiro256pp {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
 
+  /// The four state words. Lets a vector kernel run several engines side
+  /// by side, one per lane, drawing exactly what each engine would.
+  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const {
+    return state_;
+  }
+
   /// Advance the state by 2^128 steps: yields 2^128 non-overlapping
   /// subsequences (used by jump-based substreams; we normally prefer
   /// derive-by-hash, see RngFactory).

@@ -9,7 +9,8 @@
 //  * Monte-Carlo ARL0 calibration is deterministic in its seed and meets
 //    the false-alarm target on FRESH null replays (Wilson interval check);
 //    the CUSUM increment table is bitwise equal to the per-sample
-//    max_statistic replay for every scheme × density × pool size;
+//    max_statistic replay for every scheme × density × pool size, and on
+//    either side of the four-trial AVX2 lane groups;
 //  * the experiment engine / population engine / shard pipeline thread the
 //    time-to-detection outcomes end to end, bit-identically at any thread
 //    count and across the shard-file round-trip.
@@ -299,6 +300,23 @@ TEST(CpdCalibration, TabulatedReplayBitwiseEqualsPerSampleReplay) {
   // statistics of the replay maxima.
   constexpr std::array<double, 3> kFars = {0.05, 0.5, 0.95};
   std::size_t cases = 0;
+  const auto expect_bitwise_equal = [&](const CpdModel& model,
+                                        const std::vector<std::vector<double>>&
+                                            pools,
+                                        std::size_t trials,
+                                        const std::string& label) {
+    for (std::size_t s = 0; s < kFars.size(); ++s) {
+      const std::uint64_t seed = 20030324 + s;
+      const double got = calibrate_threshold(model, pools, kFars[s],
+                                             kHorizon, trials, seed);
+      const double want = replayed_threshold(model, pools, kFars[s],
+                                             kHorizon, trials, seed);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << label << " trials " << trials << " seed " << seed << ": "
+          << got << " vs " << want;
+      ++cases;
+    }
+  };
   for (const auto kind : {CpdKind::kCusum, CpdKind::kAdaptiveEwma}) {
     for (const auto density :
          {DensityKind::kGaussian, DensityKind::kKde, DensityKind::kHistogram}) {
@@ -310,22 +328,37 @@ TEST(CpdCalibration, TabulatedReplayBitwiseEqualsPerSampleReplay) {
         config.kind = kind;
         config.density = density;
         const auto model = CpdModel::train(config, pools);
-        for (std::size_t s = 0; s < kFars.size(); ++s) {
-          const std::uint64_t seed = 20030324 + s;
-          const double got = calibrate_threshold(model, pools, kFars[s],
-                                                 kHorizon, kTrials, seed);
-          const double want = replayed_threshold(model, pools, kFars[s],
-                                                 kHorizon, kTrials, seed);
-          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
-              << cpd_kind_name(kind) << " density "
-              << static_cast<int>(density) << " pool " << pool_size
-              << " seed " << seed << ": " << got << " vs " << want;
-          ++cases;
-        }
+        expect_bitwise_equal(model, pools, kTrials,
+                             cpd_kind_name(kind) + " density " +
+                                 std::to_string(static_cast<int>(density)) +
+                                 " pool " + std::to_string(pool_size));
       }
     }
   }
-  EXPECT_EQ(cases, 54u);
+  // Trial counts around the 4-lane groups of the vector replay (a tail
+  // alone, one group, groups plus a tail) and pool sizes around the
+  // edges of the index draw, so a host with AVX2 checks the lane kernel
+  // and the scalar tail against the per-sample oracle. Each model trains
+  // on the full pools and calibrates on their first pool_size samples.
+  const std::vector<std::vector<double>> full = {
+      synthetic_stream(1.00, 0.10, 300, 4097),
+      synthetic_stream(1.06, 0.14, 400, 4097)};
+  for (const auto kind : {CpdKind::kCusum, CpdKind::kAdaptiveEwma}) {
+    CpdConfig config;
+    config.kind = kind;
+    const auto model = CpdModel::train(config, full);
+    for (const std::size_t pool_size : {1u, 2u, 3u, 4095u, 4096u, 4097u}) {
+      const std::vector<std::vector<double>> pools = {
+          {full[0].begin(), full[0].begin() + pool_size},
+          {full[1].begin(), full[1].begin() + pool_size}};
+      for (const std::size_t trials : {1u, 3u, 4u, 5u, 9u}) {
+        expect_bitwise_equal(model, pools, trials,
+                             cpd_kind_name(kind) + " pool prefix " +
+                                 std::to_string(pool_size));
+      }
+    }
+  }
+  EXPECT_EQ(cases, 54u + 180u);
 }
 
 TEST(CpdModel, EqualTrainingMeansNeverFireEwma) {

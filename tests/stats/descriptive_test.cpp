@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -94,6 +98,70 @@ TEST(Descriptive, QuantileSortedInterpolates) {
 TEST(Descriptive, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median(std::vector<double>{4.0, 1.0, 2.0, 3.0}), 2.5);
+}
+
+TEST(Descriptive, QuantileNextToAnInfinityIsNotNan) {
+  // At an exact position the interpolation partner has weight zero; an
+  // infinite partner must not turn that into inf · 0 = NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(median(std::vector<double>{1.0, 2.0, inf}), 2.0);
+  EXPECT_EQ(iqr(std::vector<double>{1.0, 2.0, 3.0, 4.0, inf}), 2.0);
+  EXPECT_EQ(mad(std::vector<double>{1.0, 2.0, inf}), 1.0);
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &x, sizeof out);
+  return out;
+}
+
+/// median / iqr / mad as sort-then-quantile_sorted: the reference the
+/// selection in descriptive.cpp must match bit for bit.
+double sorted_median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return quantile_sorted(xs, 0.5);
+}
+
+double sorted_iqr(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return quantile_sorted(xs, 0.75) - quantile_sorted(xs, 0.25);
+}
+
+double sorted_mad(const std::vector<double>& xs) {
+  const double med = sorted_median(xs);
+  std::vector<double> dev;
+  for (const double x : xs) dev.push_back(std::abs(x - med));
+  return sorted_median(dev);
+}
+
+TEST(Descriptive, SelectionEqualsSortingBitForBit) {
+  // Heavy ties (a handful of levels) as well as continuous draws. Every
+  // value is finite and no input holds -0 (std::sort leaves the order of
+  // +0 and -0 unspecified, so neither side could be pinned).
+  util::Xoshiro256pp rng(20030324);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  for (const std::size_t n : {100u, 200u, 400u, 4096u}) sizes.push_back(n);
+  std::size_t cases = 0;
+  for (const std::size_t n : sizes) {
+    for (const std::uint64_t levels : {1u, 2u, 3u, 5u, 17u, 0u}) {
+      std::vector<double> xs(n);
+      for (auto& x : xs) {
+        x = levels == 0 ? rng.uniform(-1.0, 3.0)
+                        : static_cast<double>(rng() % levels) * 0.5 - 1.0;
+      }
+      const std::vector<double> original = xs;
+      EXPECT_EQ(bits(median(xs)), bits(sorted_median(xs)))
+          << "median n " << n << " levels " << levels;
+      EXPECT_EQ(bits(iqr(xs)), bits(sorted_iqr(xs)))
+          << "iqr n " << n << " levels " << levels;
+      EXPECT_EQ(bits(mad(xs)), bits(sorted_mad(xs)))
+          << "mad n " << n << " levels " << levels;
+      EXPECT_EQ(xs, original) << "the input must stay untouched";
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 68u * 6u);
 }
 
 TEST(Descriptive, IqrOfUniformGrid) {
