@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <span>
 #include <string>
@@ -32,6 +33,7 @@
 
 #include <thread>
 
+#include "classify/bayes.hpp"
 #include "classify/cpd.hpp"
 #include "classify/feature.hpp"
 #include "classify/window_accumulator.hpp"
@@ -582,6 +584,54 @@ int main(int argc, char** argv) try {
       }
       return static_cast<std::uint64_t>(1000 + (acc < 0.0 ? 1 : 0));
     }));
+
+    // Bayes decisions between two overlapping 500-point KDEs, the shape of
+    // fig4b_curve's mean feature (equal means, so most queries fall in
+    // both kernel windows). classify() decides from lane-summed log-density
+    // enclosures where the host has AVX2+FMA (`path`: lanes) and from exact
+    // values otherwise; its labels must equal the exact argmax loop's, or
+    // the bench exits 1.
+    {
+      util::Rng decide_rng(12);  // own stream: later rows keep their inputs
+      std::vector<std::vector<double>> features(2, std::vector<double>(500));
+      for (std::size_t c = 0; c < 2; ++c) {
+        stats::Normal feature(10e-3, c == 0 ? 1.0e-7 : 1.3e-7);
+        for (auto& x : features[c]) x = feature.sample(decide_rng);
+      }
+      const auto clf = classify::BayesClassifier::train(features, {0.5, 0.5});
+      std::vector<double> queries(1000);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        queries[i] = features[i % 2][(i * 7) % 500] +
+                     1e-7 * stats::sample_standard_normal(decide_rng);
+      }
+      for (const double q : queries) {
+        ClassLabel exact = 0;
+        double best = -std::numeric_limits<double>::infinity();
+        for (std::size_t c = 0; c < 2; ++c) {
+          const auto label = static_cast<ClassLabel>(c);
+          const double score =
+              std::log(clf.prior(label)) + clf.density(label).log_pdf(q);
+          if (score > best) {
+            best = score;
+            exact = label;
+          }
+        }
+        if (clf.classify(q) != exact) {
+          std::fprintf(stderr,
+                       "FATAL: kde/decide_500 label differs from the exact "
+                       "argmax at %a\n",
+                       q);
+          return 1;
+        }
+      }
+      results.push_back(
+          run_bench("kde/decide_500", "decisions", min_time, [&] {
+            std::uint64_t ones = 0;
+            for (const double q : queries) ones += clf.classify(q);
+            return queries.size() + (ones > queries.size() ? 1 : 0);
+          }));
+      results.back().path = stats::kde_sums_in_lanes() ? "lanes" : "exact";
+    }
 
     // Streaming window accumulators vs the batch extractors above, plus the
     // DetectorBank inner loop: every PIAT fanned out to all five features

@@ -23,6 +23,7 @@ BayesClassifier BayesClassifier::train(
 
   BayesClassifier clf;
   clf.priors_ = std::move(priors);
+  for (const double p : clf.priors_) clf.log_priors_.push_back(std::log(p));
   clf.feature_lo_ = std::numeric_limits<double>::infinity();
   clf.feature_hi_ = -clf.feature_lo_;
   for (const auto& features : class_features) {
@@ -37,6 +38,7 @@ BayesClassifier BayesClassifier::train(
 
 BayesClassifier::BayesClassifier(const BayesClassifier& other)
     : priors_(other.priors_),
+      log_priors_(other.log_priors_),
       feature_lo_(other.feature_lo_),
       feature_hi_(other.feature_hi_) {
   models_.reserve(other.models_.size());
@@ -50,11 +52,45 @@ BayesClassifier& BayesClassifier::operator=(const BayesClassifier& other) {
   return *this;
 }
 
+std::optional<ClassLabel> BayesClassifier::certified_label(double s) const {
+  // Rounding is monotone, so lo_i ≤ the exact loop's score_i ≤ hi_i holds
+  // for the rounded sums too, and lo_i > hi_j for every j ≠ i makes class
+  // i the loop's unique maximum. Only the class with the largest lower
+  // bound can qualify; it is checked against the largest upper bound of
+  // the others.
+  std::size_t best = 0;
+  std::size_t top = 0;
+  double best_lo = 0.0;
+  double top_hi = -std::numeric_limits<double>::infinity();
+  double runner_up_hi = top_hi;
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    const auto bounds = models_[i]->log_pdf_bounds(s);
+    const double lo = log_priors_[i] + bounds.lo;
+    const double hi = log_priors_[i] + bounds.hi;
+    if (!(lo <= hi)) return std::nullopt;  // NaN
+    if (i == 0 || lo > best_lo) {
+      best = i;
+      best_lo = lo;
+    }
+    if (i == 0 || hi > top_hi) {
+      runner_up_hi = top_hi;
+      top = i;
+      top_hi = hi;
+    } else if (hi > runner_up_hi) {
+      runner_up_hi = hi;
+    }
+  }
+  const double rival_hi = top == best ? runner_up_hi : top_hi;
+  if (best_lo > rival_hi) return static_cast<ClassLabel>(best);
+  return std::nullopt;
+}
+
 ClassLabel BayesClassifier::classify(double s) const {
+  if (const auto label = certified_label(s)) return *label;
   ClassLabel best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < models_.size(); ++i) {
-    const double score = std::log(priors_[i]) + models_[i]->log_pdf(s);
+    const double score = log_priors_[i] + models_[i]->log_pdf(s);
     if (score > best_score) {
       best_score = score;
       best = static_cast<ClassLabel>(i);

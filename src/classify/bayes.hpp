@@ -1,9 +1,12 @@
 // Bayes decision rule over m payload-rate classes (paper eq. 1–2).
 //
 // classify(s) = argmax_i  P(ω_i) · f(s|ω_i), evaluated in log space.
-// For the two-class case the decision threshold d of eq. (3)/Fig 2 — the
-// feature value where the weighted densities cross — is recovered
-// numerically for inspection and for the numeric Bayes-error integral.
+// A decision needs only the argmax: classify() first compares per-class
+// enclosures of the log scores (DensityModel::log_pdf_bounds) and runs the
+// exact loop only when they cannot separate the winner. For the two-class
+// case the decision threshold d of eq. (3)/Fig 2 — the feature value where
+// the weighted densities cross — is recovered numerically for inspection
+// and for the numeric Bayes-error integral.
 #pragma once
 
 #include <memory>
@@ -36,7 +39,10 @@ class BayesClassifier {
   BayesClassifier& operator=(BayesClassifier&&) noexcept = default;
   ~BayesClassifier() = default;
 
-  /// Maximum-a-posteriori class of feature value s.
+  /// Maximum-a-posteriori class of feature value s: the first class whose
+  /// score log P(ω_i) + log_pdf_i(s) is largest. When one class's lower
+  /// score bound beats every other class's upper bound, that class is the
+  /// answer; otherwise the scores are computed exactly.
   [[nodiscard]] ClassLabel classify(double s) const;
 
   /// Posterior probabilities P(ω_i | s) (normalized).
@@ -57,7 +63,12 @@ class BayesClassifier {
  private:
   BayesClassifier() = default;
 
+  /// The class whose score enclosure lies above every other class's, if
+  /// there is one.
+  [[nodiscard]] std::optional<ClassLabel> certified_label(double s) const;
+
   std::vector<double> priors_;
+  std::vector<double> log_priors_;  // log(priors_[i]), computed once
   std::vector<std::unique_ptr<DensityModel>> models_;
   double feature_lo_ = 0.0;  // training feature range (for threshold scan)
   double feature_hi_ = 0.0;

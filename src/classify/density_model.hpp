@@ -25,6 +25,13 @@ class DensityModel {
   virtual ~DensityModel() = default;
   [[nodiscard]] virtual double log_pdf(double x) const = 0;
   [[nodiscard]] virtual double pdf(double x) const = 0;
+  /// An interval that contains log_pdf(x), enough to decide a comparison
+  /// without the exact value (BayesClassifier::classify). The default is
+  /// the exact value, lo == hi.
+  [[nodiscard]] virtual stats::LogPdfBounds log_pdf_bounds(double x) const {
+    const double v = log_pdf(x);
+    return {v, v};
+  }
   [[nodiscard]] virtual std::string name() const = 0;
   /// Deep copy — lets a trained classifier (and with it a whole detector
   /// bank) be checkpointed/forked.
@@ -40,6 +47,9 @@ class KdeDensity final : public DensityModel {
 
   [[nodiscard]] double log_pdf(double x) const override;
   [[nodiscard]] double pdf(double x) const override;
+  [[nodiscard]] stats::LogPdfBounds log_pdf_bounds(double x) const override {
+    return kde_.log_pdf_bounds(x);
+  }
   [[nodiscard]] std::string name() const override { return "kde"; }
   [[nodiscard]] std::unique_ptr<DensityModel> clone() const override {
     return std::make_unique<KdeDensity>(*this);

@@ -490,17 +490,19 @@ void DetectorBank::consume_prepass(std::span<const double> batch) {
   for (double x : batch) prepass_pooled_.add(x);
 }
 
-void DetectorBank::finish_prepass() { finish_prepass(prepass_pooled_); }
+void DetectorBank::finish_prepass() {
+  LINKPAD_EXPECTS(prepass_pooled_.count() >= 2);
+  finish_prepass(prepass_pooled_.stddev());
+}
 
-void DetectorBank::finish_prepass(const stats::RunningStats& pooled) {
+void DetectorBank::finish_prepass(double pooled_stddev) {
   LINKPAD_EXPECTS(!prepass_finished_);
-  LINKPAD_EXPECTS(pooled.count() >= 2);
   for (auto& detector : detectors_) {
     if (!detector->needs_bin_width()) continue;
     // Scott's histogram rule at the detector's window size — the exact
     // selection Adversary::train performs on pooled training data.
     const double n = static_cast<double>(detector->spec().adversary.window_size);
-    const double width = 3.49 * pooled.stddev() * std::pow(n, -1.0 / 3.0);
+    const double width = 3.49 * pooled_stddev * std::pow(n, -1.0 / 3.0);
     LINKPAD_ENSURES(width > 0.0);
     detector->set_bin_width(width);
   }

@@ -220,12 +220,12 @@ class DetectorBank {
   void consume_prepass(std::span<const double> batch);
   void finish_prepass();
 
-  /// Finish the prepass from externally accumulated pooled training
-  /// moments instead of consume_prepass. The prefix-replay engine computes
-  /// per-prefix moments with ONE shared Welford stream plus fork()s at the
-  /// prefix boundaries, then hands each bank its snapshot — identical
-  /// numbers to consuming the clipped stream, at a fraction of the adds.
-  void finish_prepass(const stats::RunningStats& pooled);
+  /// Finish the prepass from an externally computed pooled training
+  /// standard deviation (the only moment the Scott rule reads) instead of
+  /// consume_prepass. The prefix-replay engine computes one per prefix
+  /// budget with the same Welford recurrence (DESIGN.md §2.6), so each
+  /// bank gets the bits consuming its clipped stream would give.
+  void finish_prepass(double pooled_stddev);
 
   void consume_training(std::size_t class_index, std::span<const double> batch);
 

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -184,7 +185,99 @@ std::span<const double> clip_to_limit(std::span<const double> batch,
   return batch.first(std::min(batch.size(), limit - offset));
 }
 
+/// The (n, mean, M2) part of RunningStats — all the prepass reads. The
+/// count is a double, as RunningStats::add converts it for each step.
+struct WelfordMoments {
+  double count = 0.0;
+  double mean = 0.0;
+  double m2 = 0.0;
+};
+
+/// Adds xs[0 .. len) to each of kLanes moments side by side, each lane its
+/// own in-order RunningStats::add chain (stats::welford_step), so one
+/// lane's divide overlaps the others' instead of waiting on its own.
+template <std::size_t kLanes>
+void add_in_lanes(const double* xs, std::size_t len, WelfordMoments* moments) {
+  std::array<double, kLanes> count{};
+  std::array<double, kLanes> mean{};
+  std::array<double, kLanes> m2{};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    count[l] = moments[l].count;
+    mean[l] = moments[l].mean;
+    m2[l] = moments[l].m2;
+  }
+  for (std::size_t i = 0; i < len; ++i) {
+    const double x = xs[i];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const auto [delta_n, term1] = stats::welford_step(x, mean[l], count[l]);
+      mean[l] += delta_n;
+      m2[l] += term1;
+      count[l] += 1.0;
+    }
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    moments[l] = {count[l], mean[l], m2[l]};
+  }
+}
+
+void add_in_lanes(std::size_t lanes, const double* xs, std::size_t len,
+                  WelfordMoments* moments) {
+  switch (lanes) {
+    case 4: return add_in_lanes<4>(xs, len, moments);
+    case 3: return add_in_lanes<3>(xs, len, moments);
+    case 2: return add_in_lanes<2>(xs, len, moments);
+    default: return add_in_lanes<1>(xs, len, moments);
+  }
+}
+
 }  // namespace
+
+std::vector<double> detail::pooled_prepass_stddevs(
+    const std::vector<std::vector<double>>& train,
+    const std::vector<std::size_t>& budgets) {
+  LINKPAD_EXPECTS(!train.empty());
+  std::vector<WelfordMoments> pooled(budgets.size());
+  // Class 0: one shared chain, copied out at each budget boundary (and at
+  // the end of a stream that runs dry first).
+  WelfordMoments running;
+  std::size_t consumed = 0;
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
+    const std::size_t end = std::min(budgets[b], train[0].size());
+    if (end > consumed) {
+      add_in_lanes<1>(train[0].data() + consumed, end - consumed, &running);
+      consumed = end;
+    }
+    pooled[b] = running;
+  }
+  // Later classes resume each budget's moments with that budget's clipped
+  // adds. Every budget reads the same prefix, so four budgets run side by
+  // side, largest first: over [0, b_0) all four lanes, then the lanes
+  // whose budgets reach further, until the largest budget ends.
+  for (std::size_t c = 1; c < train.size(); ++c) {
+    const double* xs = train[c].data();
+    for (std::size_t group_end = budgets.size(); group_end > 0;) {
+      const std::size_t lanes = std::min<std::size_t>(4, group_end);
+      const std::size_t group = group_end - lanes;
+      std::size_t start = 0;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t end = std::min(budgets[group + l], train[c].size());
+        if (end > start) {
+          add_in_lanes(lanes - l, xs + start, end - start, &pooled[group + l]);
+          start = end;
+        }
+      }
+      group_end = group;
+    }
+  }
+  std::vector<double> stddevs;
+  stddevs.reserve(pooled.size());
+  for (const WelfordMoments& m : pooled) {
+    LINKPAD_EXPECTS(m.count >= 2.0);
+    // RunningStats::variance(): M2 / (n − 1).
+    stddevs.push_back(std::sqrt(m.m2 / (m.count - 1.0)));
+  }
+  return stddevs;
+}
 
 ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   const std::size_t num_classes = spec.scenario.payload_rates.size();
@@ -337,44 +430,19 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
     for (std::size_t c = 0; c < num_classes; ++c) {
       train[c] = class_stream(spec, c, train_capacity, /*salt=*/1);
     }
-    // Pooled prepass moments per DISTINCT prefix budget: the first class
-    // is one shared Welford stream forked at each budget boundary; later
-    // classes resume each fork with their clipped adds. Bit-identical to
-    // k independent clipped streams — banks sharing a budget share the
-    // whole pooled state.
+    // Pooled prepass σ per DISTINCT prefix budget; banks sharing a budget
+    // share it.
     std::vector<std::size_t> budgets;
     budgets.reserve(k);
     for (const PrefixPoint& p : points) budgets.push_back(p.train_limit);
     std::sort(budgets.begin(), budgets.end());
     budgets.erase(std::unique(budgets.begin(), budgets.end()), budgets.end());
-
-    std::vector<stats::RunningStats> pooled(budgets.size());
-    {
-      stats::RunningStats running;
-      std::size_t consumed = 0;
-      std::size_t next = 0;
-      for (const double x : train[0]) {
-        running.add(x);
-        ++consumed;
-        while (next < budgets.size() && budgets[next] == consumed) {
-          pooled[next++] = running.fork();
-        }
-      }
-      while (next < budgets.size()) pooled[next++] = running.fork();
-    }
-    for (std::size_t c = 1; c < num_classes; ++c) {
-      for (std::size_t b = 0; b < budgets.size(); ++b) {
-        for (const double x : clip_to_limit(std::span<const double>(train[c]),
-                                            0, budgets[b])) {
-          pooled[b].add(x);
-        }
-      }
-    }
+    const auto stddevs = detail::pooled_prepass_stddevs(train, budgets);
     for (std::size_t i = 0; i < k; ++i) {
-      const auto it = std::find(budgets.begin(), budgets.end(),
-                                points[i].train_limit);
-      banks[i].finish_prepass(
-          pooled[static_cast<std::size_t>(std::distance(budgets.begin(), it))]);
+      const auto it = std::lower_bound(budgets.begin(), budgets.end(),
+                                       points[i].train_limit);
+      banks[i].finish_prepass(stddevs[static_cast<std::size_t>(
+          std::distance(budgets.begin(), it))]);
     }
     for (std::size_t c = 0; c < num_classes; ++c) {
       feed_training(c, [&](auto&& sink) {

@@ -370,6 +370,9 @@ struct SweepGrid {
   AdversaryPlan plan = {
       .adversary = {.feature = classify::FeatureKind::kSampleVariance,
                     .window_size = 1000},
+      .extra_features = {},
+      .extra_detectors = {},
+      .cpd_detectors = {},
       .train_windows = 150,
       .test_windows = 150};
   std::uint64_t seed = 20030324;
@@ -382,5 +385,18 @@ struct SweepGrid {
   /// collide across points.
   [[nodiscard]] std::vector<ExperimentSpec> expand() const;
 };
+
+namespace detail {
+
+/// The pooled Δh prepass of ExperimentEngine::run, exposed for its tests:
+/// for each budget b of `budgets` (ascending, distinct), the sample
+/// standard deviation of the first min(b, train[c].size()) values of every
+/// class c, pooled in class order. Bitwise what stats::RunningStats::add
+/// over those values, then stddev(), gives. Each pool must hold ≥ 2 values.
+[[nodiscard]] std::vector<double> pooled_prepass_stddevs(
+    const std::vector<std::vector<double>>& train,
+    const std::vector<std::size_t>& budgets);
+
+}  // namespace detail
 
 }  // namespace linkpad::core

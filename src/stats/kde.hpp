@@ -11,9 +11,16 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace linkpad::stats {
+
+/// A closed interval [lo, hi] of log-density values.
+struct LogPdfBounds {
+  double lo;
+  double hi;
+};
 
 /// Bandwidth selection rule for GaussianKde.
 enum class BandwidthRule {
@@ -40,6 +47,18 @@ class GaussianKde {
   /// Bayes comparisons stay well-defined.
   [[nodiscard]] double log_pdf(double x) const;
 
+  /// An interval that contains the double log_pdf(x) returns, for deciding
+  /// comparisons without computing it (DESIGN.md §2.5). On an AVX2+FMA
+  /// host, a window of 4 to 2^14 kernels is summed in vector lanes with a
+  /// polynomial exp and widened by kLaneHalfWidth, ≥ 100× the proven
+  /// distance to log_pdf(x). Otherwise (another host, an empty, short or
+  /// very long window, a non-finite x, or any other guard of the proof in
+  /// kde.cpp failing) the interval is log_pdf(x) itself, lo == hi.
+  [[nodiscard]] LogPdfBounds log_pdf_bounds(double x) const;
+
+  /// Half-width of a lane-summed enclosure, in log-density units.
+  static constexpr double kLaneHalfWidth = 1e-9;
+
   /// Evaluate on a grid of `points` equally spaced over [lo, hi]
   /// (for plotting, e.g. Fig 4a). Grid points ascend, so the ±8h kernel
   /// window slides monotonically: one sweep over the sorted sample replaces
@@ -50,9 +69,23 @@ class GaussianKde {
       double lo, double hi, std::size_t points) const;
 
  private:
+  /// The kernels pdf() sums for x: those within ±8h, [first, last).
+  struct Window {
+    const double* first;
+    const double* last;
+  };
+  [[nodiscard]] Window window(double x) const;
+  /// pdf(x) and log_pdf(x) over x's window.
+  [[nodiscard]] double pdf_in(double x, Window w) const;
+  [[nodiscard]] double log_pdf_in(double x, Window w) const;
+
   std::vector<double> sorted_;
   double bandwidth_ = 0.0;
 };
+
+/// Whether this host sums KDE kernel windows in AVX2+FMA lanes
+/// (GaussianKde::log_pdf_bounds); otherwise the bounds are exact values.
+[[nodiscard]] bool kde_sums_in_lanes();
 
 /// Compute the bandwidth a rule would choose for a sample (exposed for the
 /// bandwidth ablation and for tests).

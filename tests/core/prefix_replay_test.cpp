@@ -15,12 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "core/piat_source.hpp"
+#include "stats/descriptive.hpp"
+#include "stats/distributions.hpp"
+#include "util/rng.hpp"
 
 namespace linkpad::core {
 namespace {
@@ -282,6 +287,160 @@ TEST(PrefixReplay, BitIdenticalAcrossSweepThreadCounts) {
               "threads " + std::to_string(threads));
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------------- pooled prepass
+
+/// The serial reference for the pooled Δh prepass: one RunningStats per
+/// budget over each class's clipped stream, in class order.
+std::vector<double> serial_prepass_stddevs(
+    const std::vector<std::vector<double>>& train,
+    const std::vector<std::size_t>& budgets) {
+  std::vector<double> out;
+  for (const std::size_t budget : budgets) {
+    stats::RunningStats pooled;
+    for (const auto& xs : train) {
+      for (std::size_t i = 0; i < std::min(budget, xs.size()); ++i) {
+        pooled.add(xs[i]);
+      }
+    }
+    out.push_back(pooled.stddev());
+  }
+  return out;
+}
+
+/// A finite backend: each stream delivers at most `limit` PIATs of the
+/// sim backend's stream, then comes up short (not replayable, like a live
+/// capture).
+class FiniteBackend final : public ExperimentBackend {
+ public:
+  explicit FiniteBackend(std::size_t limit) : limit_(limit) {}
+  [[nodiscard]] std::unique_ptr<PiatSource> open(
+      const Scenario& scenario, std::size_t class_index, std::uint64_t seed,
+      std::uint64_t salt) const override {
+    return std::make_unique<Source>(
+        sim_backend().open(scenario, class_index, seed, salt), limit_);
+  }
+  [[nodiscard]] bool replayable() const override { return false; }
+  [[nodiscard]] std::string name() const override { return "finite"; }
+
+ private:
+  class Source final : public PiatSource {
+   public:
+    Source(std::unique_ptr<PiatSource> inner, std::size_t left)
+        : inner_(std::move(inner)), left_(left) {}
+    std::size_t collect(std::size_t count, std::vector<double>& out) override {
+      const std::size_t got = inner_->collect(std::min(count, left_), out);
+      left_ -= got;
+      return got;
+    }
+    [[nodiscard]] std::string name() const override { return "finite"; }
+
+   private:
+    std::unique_ptr<PiatSource> inner_;
+    std::size_t left_;
+  };
+
+  std::size_t limit_;
+};
+
+TEST(PrefixReplay, PooledPrepassLanesMatchSerialMoments) {
+  // The prepass runs the class ≥ 1 adds of four budgets side by side; its
+  // σ per budget, and so every Δh and every result, must be the serial
+  // RunningStats bits. Unit level first: 1–9 distinct budgets (every lane
+  // tail), two or three classes, class streams that run dry before the
+  // largest budgets.
+  util::Xoshiro256pp rng(1931);
+  for (std::size_t distinct = 1; distinct <= 9; ++distinct) {
+    for (std::size_t trial = 0; trial < 24; ++trial) {
+      std::vector<std::size_t> budgets;
+      while (budgets.size() < distinct) {
+        budgets.push_back(2 + rng() % 3000);
+        std::sort(budgets.begin(), budgets.end());
+        budgets.erase(std::unique(budgets.begin(), budgets.end()),
+                      budgets.end());
+      }
+      std::vector<std::vector<double>> train(2 + trial % 2);
+      for (auto& xs : train) {
+        // Some streams end inside the budget range, some past it.
+        xs.resize(2 + rng() % (budgets.back() + 200));
+        for (auto& x : xs) {
+          x = 10e-3 + 1e-5 * stats::sample_standard_normal(rng);
+        }
+      }
+      const auto lanes = detail::pooled_prepass_stddevs(train, budgets);
+      const auto serial = serial_prepass_stddevs(train, budgets);
+      ASSERT_EQ(lanes.size(), serial.size());
+      for (std::size_t b = 0; b < budgets.size(); ++b) {
+        expect_bitwise_equal(lanes[b], serial[b],
+                             "budget " + std::to_string(budgets[b]) + " of " +
+                                 std::to_string(distinct));
+      }
+    }
+  }
+
+  // Engine level: axes whose points share 1–9 distinct prefix budgets
+  // (n = 20 and n = 120 always share 240), each point against an
+  // independent run whose bank runs the serial prepass.
+  const std::vector<std::size_t> extra = {25, 32, 36, 50, 64, 70, 84, 90};
+  for (std::size_t distinct = 1; distinct <= 9; ++distinct) {
+    auto spec = axis_spec(50 + distinct);
+    spec.sample_size_axis = {20};
+    spec.sample_size_axis.insert(spec.sample_size_axis.end(), extra.begin(),
+                                 extra.begin() + (distinct - 1));
+    spec.sample_size_axis.push_back(120);
+    spec.plan.adversary.window_size = 120;
+    spec.plan.train_windows = 2;
+    spec.plan.test_windows = 2;
+    std::vector<std::size_t> budgets;
+    for (const std::size_t n : spec.sample_size_axis) {
+      budgets.push_back(2 * 120 / n * n);
+    }
+    std::sort(budgets.begin(), budgets.end());
+    ASSERT_EQ(std::unique(budgets.begin(), budgets.end()) - budgets.begin(),
+              static_cast<std::ptrdiff_t>(distinct));
+    const auto collapsed = ExperimentEngine().run(spec);
+    run_axis_equivalence(spec, collapsed, 0);
+  }
+
+  // A finite backend that runs dry (340 PIATs) before the largest budgets
+  // (350, 352, 360): each point must equal a single-size run on the same
+  // backend whose Δh is the serial reference's, given explicitly.
+  const FiniteBackend finite(340);
+  auto spec = axis_spec(71);
+  spec.sample_size_axis = {20, 25, 32, 64, 84, 120};
+  spec.plan.adversary.window_size = 120;
+  spec.plan.train_windows = 3;
+  spec.plan.test_windows = 3;
+  const auto collapsed = ExperimentEngine(finite).run(spec);
+  std::vector<std::vector<double>> train;
+  for (std::size_t c = 0; c < 2; ++c) {
+    train.push_back(pull_stream(finite, spec.scenario, c, spec.seed,
+                                /*salt=*/1, 360));
+    ASSERT_EQ(train.back().size(), 340u);
+  }
+  for (const std::size_t n : spec.sample_size_axis) {
+    const std::size_t windows = 3 * 120 / n;
+    const double sigma = serial_prepass_stddevs(train, {windows * n})[0];
+    ExperimentSpec single = spec;
+    single.sample_size_axis.clear();
+    single.plan.adversary.window_size = n;
+    single.plan.adversary.entropy_bin_width =
+        3.49 * sigma * std::pow(static_cast<double>(n), -1.0 / 3.0);
+    single.plan.train_windows = windows;
+    single.plan.test_windows = windows;
+    const auto reference = ExperimentEngine(finite).run(single);
+    const auto& point = collapsed.at_sample_size(n);
+    const std::string tag = "finite, n = " + std::to_string(n);
+    expect_bitwise_equal(point.r_hat, reference.r_hat, tag + " r_hat");
+    ASSERT_EQ(point.per_feature.size(), reference.per_feature.size()) << tag;
+    for (std::size_t f = 0; f < point.per_feature.size(); ++f) {
+      expect_same_confusion(point.per_feature[f].confusion,
+                            reference.per_feature[f].confusion, tag);
+      expect_bitwise_equal(point.per_feature[f].detection_rate,
+                           reference.per_feature[f].detection_rate, tag);
     }
   }
 }
