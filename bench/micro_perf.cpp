@@ -532,6 +532,28 @@ int main(int argc, char** argv) try {
       sim::Testbed bed(scenario.config_for(1), rng);
       return bed.collect_piats(5000).size();
     }));
+    // The same capture opened through open_piats(), as training captures
+    // are: no payload-delay sketches.
+    results.push_back(
+        run_bench("testbed/cit_piats_only", "piats", min_time, [&] {
+          auto source = core::sim_backend().open_piats(scenario, 1, 3, trial++);
+          std::vector<double> piats;
+          piats.reserve(5000);
+          return source->collect(5000, piats);
+        }));
+  }
+  {
+    // campaign_saturated's hop load: the lab hop clamped at ρ = 0.95, where
+    // the M/G/1 residual loop runs ~19 times per PIAT.
+    const auto scenario = core::lab_cross_traffic(core::make_cit(), 0.95);
+    util::RngFactory factory(13);
+    std::uint64_t trial = 0;
+    results.push_back(
+        run_bench("testbed/cit_rho095_piats", "piats", min_time, [&] {
+          auto rng = factory.make(trial++);
+          sim::Testbed bed(scenario.config_for(1), rng);
+          return bed.collect_piats(5000).size();
+        }));
   }
   {
     const auto scenario = core::wan(core::make_cit(), 15.0);

@@ -42,8 +42,9 @@ int main(int argc, char** argv) try {
                        "step-by-step Bayes traffic-analysis attack");
   args.add_option("--feature", "variance",
                   "density plot focus: mean | variance | entropy | mad | iqr");
-  args.add_count("--n", 1000, "PIAT window size");
-  args.add_count("--windows", 150, "training/test windows per class");
+  args.add_count("--n", 1000, util::kMaxRunCount, "PIAT window size");
+  args.add_count("--windows", 150, util::kMaxRunCount,
+                 "training/test windows per class");
   args.add_int("--seed", 42, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

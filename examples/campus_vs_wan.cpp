@@ -62,8 +62,10 @@ std::vector<double> detection_over_day(
 int main(int argc, char** argv) try {
   util::ArgParser args("campus_vs_wan",
                        "CIT exposure across a day: campus vs WAN tap");
-  args.add_count("--slots", 8, "time slots across the 24h day");
-  args.add_count("--windows", 100, "train/test windows per class");
+  args.add_count("--slots", 8, util::kMaxRunCount,
+                 "time slots across the 24h day");
+  args.add_count("--windows", 100, util::kMaxRunCount,
+                 "train/test windows per class");
   args.add_int("--seed", 23, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

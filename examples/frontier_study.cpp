@@ -55,8 +55,10 @@ StudyPolicies study_policies() {
 int main(int argc, char** argv) try {
   util::ArgParser args("frontier_study",
                        "overhead vs detectability across defense policies");
-  args.add_count("--n", 400, "adversary window size (PIATs per window)");
-  args.add_count("--windows", 40, "train/test windows per class");
+  args.add_count("--n", 400, util::kMaxRunCount,
+                 "adversary window size (PIATs per window)");
+  args.add_count("--windows", 40, util::kMaxRunCount,
+                 "train/test windows per class");
   args.add_int("--seed", 20030324, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

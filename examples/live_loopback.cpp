@@ -47,7 +47,8 @@ int main(int argc, char** argv) try {
   util::ArgParser args("live_loopback",
                        "real-time padding gateway over loopback UDP");
   args.add_num("--tau-ms", 2, "timer mean interval in milliseconds");
-  args.add_count("--piats", 1500, "PIATs to capture per run");
+  args.add_count("--piats", 1500, util::kMaxRunCount,
+                 "PIATs to capture per run");
   if (!args.parse(argc, argv)) return 1;
 
   const double tau = args.num("--tau-ms") * 1e-3;

@@ -168,17 +168,21 @@ int main(int argc, char** argv) {
   args.add_flag("--run", "reference mode: single-process run of the campaign");
   args.add_option("--out", "-",
                   "result JSON destination for --merge/--run (- = stdout)");
-  args.add_count("--flows", 64, "concurrent padded flows M");
-  args.add_count("--sample", 0,
+  args.add_count("--flows", 64, util::kMaxRunCount,
+                 "concurrent padded flows M");
+  args.add_count("--sample", 0, util::kMaxRunCount,
                  "sampled mode: simulate only m seed-derived flows of M "
                  "(0 = exhaustive); contention stays at M");
-  args.add_count("--round", 0,
+  args.add_count("--round", 0, util::kMaxRunCount,
                  "sampled mode: which disjoint stratum of the permutation");
-  args.add_count("--windows", 4, "train/test windows per class at n_max");
+  args.add_count("--windows", 4, util::kMaxRunCount,
+                 "train/test windows per class at n_max");
   args.add_num("--sigma", 0, "VIT timer std-dev in microseconds (0 = CIT)");
   args.add_int("--seed", 7, "root RNG seed");
-  args.add_count("--grain", 0, "chunk grain (0 = flow-count default)");
-  args.add_count("--threads", 0, "worker threads (0 = hardware)");
+  args.add_count("--grain", 0, util::kMaxRunCount,
+                 "chunk grain (0 = flow-count default)");
+  args.add_count("--threads", 0, util::kMaxThreads,
+                 "worker threads (0 = hardware)");
   args.add_flag("--drop-per-flow",
                 "aggregate-only run (omits per-flow rates from the JSON)");
   args.add_flag("--progress",

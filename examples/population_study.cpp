@@ -123,11 +123,13 @@ void print_sampled_comparison(const core::PopulationResult& exhaustive,
 int main(int argc, char** argv) try {
   util::ArgParser args("population_study",
                        "padding a user population: who leaks, and how fast");
-  args.add_count("--flows", 100, "concurrent padded flows M");
-  args.add_count("--windows", 10, "train/test windows per class at n_max");
+  args.add_count("--flows", 100, util::kMaxRunCount,
+                 "concurrent padded flows M");
+  args.add_count("--windows", 10, util::kMaxRunCount,
+                 "train/test windows per class at n_max");
   args.add_num("--sigma", 500, "VIT timer std-dev in microseconds");
   args.add_int("--seed", 31, "root RNG seed");
-  args.add_count("--sample", 0,
+  args.add_count("--sample", 0, util::kMaxRunCount,
                  "sampled-mode stratum size m (0 = skip the sampled demo)");
   args.add_num("--half-width", 0.15,
                "target detected-fraction half-width for the sampled demo");

@@ -25,8 +25,10 @@ int main(int argc, char** argv) try {
   util::ArgParser args("robust_frontier_study",
                        "re-score the defense frontier against a per-policy "
                        "best-response adversary");
-  args.add_count("--n", 200, "fixed-bank window size (PIATs per window)");
-  args.add_count("--windows", 12, "train/test windows per class");
+  args.add_count("--n", 200, util::kMaxRunCount,
+                 "fixed-bank window size (PIATs per window)");
+  args.add_count("--windows", 12, util::kMaxRunCount,
+                 "train/test windows per class");
   args.add_int("--seed", 20030324, "root RNG seed");
   args.add_flag("--edf", "add EDF (KS/CvM) candidates to the search space");
   args.add_flag("--json", "also print the canonical hex-double JSON record");

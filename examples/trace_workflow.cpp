@@ -21,7 +21,8 @@ int main(int argc, char** argv) try {
   util::ArgParser args("trace_workflow",
                        "capture PIAT traces to disk, analyze offline");
   args.add_option("--dir", "/tmp/linkpad_traces", "output directory");
-  args.add_count("--piats", 60000, "PIATs captured per class");
+  args.add_count("--piats", 60000, util::kMaxRunCount,
+                 "PIATs captured per class");
   args.add_int("--seed", 31, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

@@ -18,11 +18,12 @@ namespace linkpad::classify {
 namespace {
 
 /// Appends one value slot per whole window of `xs` and hands the windows
-/// to `kernel` 4 at a time, then 2, then 1: kernel(lanes, first, out) with
+/// to `kernel` 8 at a time, then 4, 2 and 1: kernel(lanes, first, out) with
 /// `lanes` a std::integral_constant. Consecutive windows are independent
 /// chains, so running them side by side lets one window's latency-bound
 /// step (an add, a divide) overlap the others'; each window still sees
-/// exactly its own samples in order.
+/// exactly its own samples in order. Eight chains cover the ~20-cycle
+/// divide of the variance step (DESIGN.md §2.5).
 template <typename Kernel>
 void for_window_lanes(std::span<const double> xs, std::size_t n,
                       std::vector<double>& values, const Kernel& kernel) {
@@ -33,8 +34,12 @@ void for_window_lanes(std::span<const double> xs, std::size_t n,
   const double* in = xs.data();
   double* out = values.data() + first_slot;
   std::size_t w = 0;
-  for (; w + 4 <= windows; w += 4) {
+  for (; w + 8 <= windows; w += 8) {
+    kernel(std::integral_constant<std::size_t, 8>{}, in + w * n, out + w);
+  }
+  if (w + 4 <= windows) {
     kernel(std::integral_constant<std::size_t, 4>{}, in + w * n, out + w);
+    w += 4;
   }
   if (w + 2 <= windows) {
     kernel(std::integral_constant<std::size_t, 2>{}, in + w * n, out + w);

@@ -11,10 +11,13 @@ namespace {
 
 /// Thin adapter: one sim::Testbed streaming PIATs contiguously. The engine
 /// owns the RNG so the testbed's reference stays valid for its lifetime.
+/// Without delay sketches it reports no overhead at all, as a passive tap
+/// would, rather than a StreamOverhead with its delay half missing.
 class SimPiatSource final : public PiatSource {
  public:
-  SimPiatSource(const sim::TestbedConfig& config, util::Rng rng)
-      : rng_(rng), testbed_(config, rng_) {}
+  SimPiatSource(const sim::TestbedConfig& config, util::Rng rng,
+                sim::DelaySketches sketches)
+      : rng_(rng), sketches_(sketches), testbed_(config, rng_, sketches) {}
 
   std::size_t collect(std::size_t count, std::vector<double>& out) override {
     if (count == 0) return 0;
@@ -22,6 +25,7 @@ class SimPiatSource final : public PiatSource {
   }
 
   [[nodiscard]] std::optional<StreamOverhead> overhead() const override {
+    if (sketches_ == sim::DelaySketches::kSkip) return std::nullopt;
     const sim::GatewayStats& gs = testbed_.gateway_stats();
     StreamOverhead oh;
     oh.payload_packets = gs.payload_out;
@@ -48,6 +52,7 @@ class SimPiatSource final : public PiatSource {
 
  private:
   util::Rng rng_;
+  sim::DelaySketches sketches_;
   sim::Testbed testbed_;
 };
 
@@ -56,12 +61,28 @@ class SimBackend final : public ExperimentBackend {
   [[nodiscard]] std::unique_ptr<PiatSource> open(
       const Scenario& scenario, std::size_t class_index, std::uint64_t seed,
       std::uint64_t salt) const override {
-    const util::RngFactory factory(seed);
-    return std::make_unique<SimPiatSource>(scenario.config_for(class_index),
-                                           factory.make(salt, class_index));
+    return make_source(scenario, class_index, seed, salt,
+                       sim::DelaySketches::kKeep);
+  }
+
+  [[nodiscard]] std::unique_ptr<PiatSource> open_piats(
+      const Scenario& scenario, std::size_t class_index, std::uint64_t seed,
+      std::uint64_t salt) const override {
+    return make_source(scenario, class_index, seed, salt,
+                       sim::DelaySketches::kSkip);
   }
 
   [[nodiscard]] std::string name() const override { return "sim"; }
+
+ private:
+  static std::unique_ptr<PiatSource> make_source(
+      const Scenario& scenario, std::size_t class_index, std::uint64_t seed,
+      std::uint64_t salt, sim::DelaySketches sketches) {
+    const util::RngFactory factory(seed);
+    return std::make_unique<SimPiatSource>(scenario.config_for(class_index),
+                                           factory.make(salt, class_index),
+                                           sketches);
+  }
 };
 
 }  // namespace
@@ -74,7 +95,7 @@ std::vector<double> pull_stream(const ExperimentBackend& backend,
   batch_piats = std::max<std::size_t>(batch_piats, 1);
   std::vector<double> out;
   out.reserve(count);
-  auto source = backend.open(scenario, class_index, seed, salt);
+  auto source = backend.open_piats(scenario, class_index, seed, salt);
   while (out.size() < count) {
     const std::size_t want = std::min(batch_piats, count - out.size());
     if (source->collect(want, out) < want) break;  // backend exhausted
@@ -87,7 +108,7 @@ std::size_t stream_batches(
     std::size_t class_index, std::uint64_t seed, std::uint64_t salt,
     std::size_t count, std::size_t batch_piats,
     const std::function<void(std::span<const double>)>& sink) {
-  auto source = backend.open(scenario, class_index, seed, salt);
+  auto source = backend.open_piats(scenario, class_index, seed, salt);
   return stream_batches(*source, count, batch_piats, sink);
 }
 

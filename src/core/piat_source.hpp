@@ -73,6 +73,17 @@ class ExperimentBackend {
       const Scenario& scenario, std::size_t class_index, std::uint64_t seed,
       std::uint64_t salt) const = 0;
 
+  /// Open the same stream for a consumer that reads its PIATs and never
+  /// its overhead(): pull_stream and stream_batches open through here. The
+  /// PIATs are those open() yields. The default is open(); a backend may
+  /// instead skip padding-cost accounting, and its source's overhead() is
+  /// then nullopt (the simulated backend drops the delay sketches).
+  [[nodiscard]] virtual std::unique_ptr<PiatSource> open_piats(
+      const Scenario& scenario, std::size_t class_index, std::uint64_t seed,
+      std::uint64_t salt) const {
+    return open(scenario, class_index, seed, salt);
+  }
+
   /// True when two opens of the same key yield bit-identical streams (sim,
   /// trace replay). Live captures return false; multi-pass consumers (e.g.
   /// the entropy bin-width prepass) must materialize such streams instead
@@ -82,8 +93,8 @@ class ExperimentBackend {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Open one stream and pull `count` PIATs in bounded batches. May return
-/// fewer when a finite (live) backend exhausts.
+/// Open one stream through open_piats() and pull `count` PIATs in bounded
+/// batches. May return fewer when a finite (live) backend exhausts.
 [[nodiscard]] std::vector<double> pull_stream(const ExperimentBackend& backend,
                                               const Scenario& scenario,
                                               std::size_t class_index,
@@ -92,11 +103,12 @@ class ExperimentBackend {
                                               std::size_t count,
                                               std::size_t batch_piats = 8192);
 
-/// Open one stream and push up to `count` PIATs through `sink` in bounded
-/// batches — the streaming counterpart of pull_stream: resident memory is
-/// O(batch_piats) regardless of `count`. Returns the number of PIATs
-/// delivered (short when a finite backend exhausts). Batch boundaries are
-/// an implementation detail; sinks must be boundary-agnostic.
+/// Open one stream through open_piats() and push up to `count` PIATs
+/// through `sink` in bounded batches — the streaming counterpart of
+/// pull_stream: resident memory is O(batch_piats) regardless of `count`.
+/// Returns the number of PIATs delivered (short when a finite backend
+/// exhausts). Batch boundaries are an implementation detail; sinks must be
+/// boundary-agnostic.
 std::size_t stream_batches(
     const ExperimentBackend& backend, const Scenario& scenario,
     std::size_t class_index, std::uint64_t seed, std::uint64_t salt,

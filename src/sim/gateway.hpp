@@ -47,6 +47,11 @@ struct GatewayStats {
   stats::P2Quantile delay_p99{0.99};
 };
 
+/// Whether a gateway feeds each forwarded payload packet's queueing delay
+/// to GatewayStats' delay moments and P² sketches. Every counter is kept
+/// either way; kSkip serves captures whose delays nobody reads.
+enum class DelaySketches : unsigned char { kKeep, kSkip };
+
 /// What one timer fire decided: the packet put on the wire, if any, and
 /// when the next designed fire is due.
 struct GatewayFire {
@@ -62,23 +67,36 @@ struct GatewayFire {
 /// one pending heap entry per designed fire and one closure per emission.
 class PaddingGateway final : public PacketSink, public TimerTask {
  public:
+  static constexpr std::size_t kDefaultQueueCapacity = 4096;
+
   /// A gateway whose caller runs the clock: arm() once, then fire() at each
   /// designed fire time it returns. `queue_capacity` bounds the payload
   /// queue (packets beyond it drop, as a real box would); the paper's rates
   /// (≤ 40 pps payload vs 100 pps timer) keep the queue nearly empty.
   PaddingGateway(std::unique_ptr<TimerPolicy> policy,
                  const JitterParams& jitter, util::Rng& rng,
-                 int wire_bytes = 1000, std::size_t queue_capacity = 4096);
+                 int wire_bytes = 1000,
+                 std::size_t queue_capacity = kDefaultQueueCapacity,
+                 DelaySketches sketches = DelaySketches::kKeep);
 
   /// A gateway driven by `sim`: start() schedules its fires there and each
   /// emission reaches `downstream` at its emit time.
   PaddingGateway(Simulation& sim, std::unique_ptr<TimerPolicy> policy,
                  const JitterParams& jitter, util::Rng& rng,
                  PacketSink& downstream, int wire_bytes = 1000,
-                 std::size_t queue_capacity = 4096);
+                 std::size_t queue_capacity = kDefaultQueueCapacity);
 
-  /// Payload ingress (TrafficSource sink interface).
-  void on_packet(const Packet& packet, Seconds now) override;
+  /// Payload ingress (TrafficSource sink interface). The queue keeps only
+  /// the packet's created time, all a fire reads of it.
+  void on_packet(const Packet& packet, Seconds /*now*/) override {
+    ++stats_.payload_in;
+    ++arrivals_since_fire_;  // each arrival raises one NIC interrupt
+    if (queue_.size() >= queue_capacity_) {
+      ++stats_.dropped;
+      return;
+    }
+    queue_.push_back(packet.created);
+  }
 
   /// Arm the timer at `now`: returns the first designed fire, one interval
   /// later.
@@ -87,6 +105,10 @@ class PaddingGateway final : public PacketSink, public TimerTask {
   /// The interrupt routine at designed fire time `now`: emit the
   /// head-of-queue payload, a dummy, or nothing; then draw the next
   /// designed fire, pushed past the emit time if the interrupt ran late.
+  /// `Policy` is the policy's concrete type when the caller knows it
+  /// (sim::Testbed's CBR × CIT loop), so its calls inline; the default
+  /// goes through TimerPolicy's virtual interface.
+  template <typename Policy = TimerPolicy>
   GatewayFire fire(Seconds now);
 
   /// Arm the timer on the Simulation (arm() at its current time).
@@ -115,11 +137,77 @@ class PaddingGateway final : public PacketSink, public TimerTask {
   int wire_bytes_;
   std::size_t queue_capacity_;
 
-  std::deque<Packet> queue_;
+  /// Feeds one payload queueing delay to the delay moments and sketches.
+  void record_delay(Seconds waited);
+
+  DelaySketches sketches_ = DelaySketches::kKeep;
+  /// Created times of the queued payload packets, oldest first.
+  std::deque<Seconds> queue_;
   unsigned arrivals_since_fire_ = 0;
   Seconds next_designed_fire_ = 0;
   PacketId next_wire_id_ = 0;
   GatewayStats stats_;
 };
+
+template <typename Policy>
+GatewayFire PaddingGateway::fire(Seconds now) {
+  Policy& policy = static_cast<Policy&>(*policy_);
+  ++stats_.timer_fires;
+
+  // The interrupt routine runs after a random scheduling delay; payload
+  // arrivals since the previous fire each contributed a blocking term.
+  const Seconds delay = jitter_.emission_delay(rng_, arrivals_since_fire_);
+
+  GatewayFeedback feedback;
+  feedback.now = now;
+  feedback.arrivals_since_fire = arrivals_since_fire_;
+  arrivals_since_fire_ = 0;
+
+  GatewayFire out;
+  Packet& wire = out.wire;
+  wire.flow = FlowId::kMonitored;
+  wire.size_bytes = wire_bytes_;  // constant wire size hides payload length
+  out.emits = true;
+  if (!queue_.empty()) {
+    const Seconds created = queue_.front();
+    queue_.pop_front();
+    wire.kind = PacketKind::kPayload;
+    wire.created = created;
+    if (sketches_ == DelaySketches::kKeep) record_delay(now - created);
+    ++stats_.payload_out;
+    stats_.payload_bytes += static_cast<std::uint64_t>(wire_bytes_);
+    feedback.emitted_payload = true;
+  } else if (policy.spend_dummy(feedback)) {
+    wire.kind = PacketKind::kDummy;
+    wire.created = now;
+    ++stats_.dummy_out;
+    stats_.padding_bytes += static_cast<std::uint64_t>(wire_bytes_);
+    feedback.emitted_dummy = true;
+  } else {
+    // The queue-feedback seam in action: the policy declined to pad, so
+    // this interrupt puts nothing on the wire.
+    ++stats_.suppressed_fires;
+    out.emits = false;
+  }
+  feedback.queue_depth = queue_.size();
+
+  const Seconds emit_time = now + delay;
+  if (out.emits) {
+    wire.id = next_wire_id_++;
+    wire.emitted = emit_time;
+  }
+
+  // Absolute (drift-free) scheduling of the next designed interrupt; the
+  // policy sees the post-emission link state before the draw.
+  policy.observe(feedback);
+  next_designed_fire_ += policy.next_interval(rng_);
+  // A grossly delayed interrupt cannot overtake the next one on real
+  // hardware; the kernel coalesces. Model: push the schedule if needed.
+  // The next fire therefore never precedes this emission, so at most one
+  // emission is ever in flight.
+  if (next_designed_fire_ <= emit_time) next_designed_fire_ = emit_time + 1e-9;
+  out.next_fire = next_designed_fire_;
+  return out;
+}
 
 }  // namespace linkpad::sim

@@ -14,15 +14,6 @@ GatewayJitterModel::GatewayJitterModel(const JitterParams& params)
   LINKPAD_EXPECTS(params.sigma_irq_block > 0.0);
 }
 
-Seconds GatewayJitterModel::emission_delay(util::Rng& rng,
-                                           unsigned payload_arrivals) const {
-  Seconds delay = context_switch_.sample(rng);
-  for (unsigned i = 0; i < payload_arrivals; ++i) {
-    delay += irq_block_.sample(rng);
-  }
-  return delay;
-}
-
 double GatewayJitterModel::effective_piat_variance(
     double mean_arrivals_per_interval) const {
   const double s2 = params_.sigma_irq_block * params_.sigma_irq_block;

@@ -45,8 +45,15 @@ class GatewayJitterModel {
 
   /// Delay added to the scheduled interrupt time when `payload_arrivals`
   /// payload packets arrived since the previous interrupt. Always ≥ 0.
+  /// Inline: the gateway draws one per timer fire.
   [[nodiscard]] Seconds emission_delay(util::Rng& rng,
-                                       unsigned payload_arrivals) const;
+                                       unsigned payload_arrivals) const {
+    Seconds delay = context_switch_.sample(rng);
+    for (unsigned i = 0; i < payload_arrivals; ++i) {
+      delay += irq_block_.sample(rng);
+    }
+    return delay;
+  }
 
   /// Marginal Var(δ) when the per-interval arrival count is Bernoulli with
   /// mean `a` ≤ 1 (used by tests to cross-check the sampler).

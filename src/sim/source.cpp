@@ -12,16 +12,6 @@ TrafficSource::TrafficSource(int packet_bytes) : packet_bytes_(packet_bytes) {
   LINKPAD_EXPECTS(packet_bytes > 0);
 }
 
-Packet TrafficSource::next_packet(Seconds now) {
-  Packet p;
-  p.id = next_id_++;
-  p.kind = PacketKind::kPayload;
-  p.flow = FlowId::kMonitored;
-  p.size_bytes = packet_bytes_;
-  p.created = now;
-  return p;
-}
-
 void TrafficSource::start(Simulation& sim, PacketSink& sink, util::Rng& rng) {
   sim_ = &sim;
   sink_ = &sink;
@@ -45,10 +35,6 @@ Seconds CbrSource::first_arrival(Seconds now, util::Rng& rng) {
   const Seconds period = 1.0 / rate_;
   const Seconds phase = random_phase_ ? rng.uniform(0.0, period) : 0.0;
   return now + phase;
-}
-
-Seconds CbrSource::next_arrival(Seconds now, util::Rng& /*rng*/) {
-  return now + 1.0 / rate_;
 }
 
 std::string CbrSource::name() const {

@@ -37,7 +37,15 @@ class TrafficSource : public TimerTask {
   [[nodiscard]] virtual Seconds next_arrival(Seconds now, util::Rng& rng) = 0;
 
   /// The payload packet arriving at `now` (ids count up from 0).
-  [[nodiscard]] Packet next_packet(Seconds now);
+  [[nodiscard]] Packet next_packet(Seconds now) {
+    Packet p;
+    p.id = next_id_++;
+    p.kind = PacketKind::kPayload;
+    p.flow = FlowId::kMonitored;
+    p.size_bytes = packet_bytes_;
+    p.created = now;
+    return p;
+  }
 
   /// Begin generating at the simulation's current time. The source keeps
   /// references to all three arguments until the simulation ends.
@@ -69,7 +77,10 @@ class CbrSource final : public TrafficSource {
   CbrSource(PacketsPerSecond rate, int packet_bytes, bool random_phase = true);
 
   [[nodiscard]] Seconds first_arrival(Seconds now, util::Rng& rng) override;
-  [[nodiscard]] Seconds next_arrival(Seconds now, util::Rng& rng) override;
+  [[nodiscard]] Seconds next_arrival(Seconds now,
+                                     util::Rng& /*rng*/) override {
+    return now + 1.0 / rate_;
+  }
   [[nodiscard]] PacketsPerSecond mean_rate() const override { return rate_; }
   [[nodiscard]] std::string name() const override;
 

@@ -33,16 +33,28 @@ std::unique_ptr<TrafficSource> make_payload_source(
   throw std::invalid_argument("make_payload_source: unknown PayloadKind");
 }
 
-Testbed::Testbed(const TestbedConfig& config, util::Rng& rng)
+Testbed::Testbed(const TestbedConfig& config, util::Rng& rng,
+                 DelaySketches sketches)
     : config_(config),
       rng_(rng),
       path_(config.hops_before_tap, config.wire_bytes),
-      gateway_(clone_policy(config), config.jitter, rng, config.wire_bytes),
-      source_(make_payload_source(config)) {
+      gateway_(clone_policy(config), config.jitter, rng, config.wire_bytes,
+               PaddingGateway::kDefaultQueueCapacity, sketches),
+      source_(make_payload_source(config)),
+      run_until_(&Testbed::run_until<TrafficSource, TimerPolicy>) {
   LINKPAD_EXPECTS(config.payload_rate > 0.0);
+  // Both classes are final, so a loop on them inlines their calls.
+  if (dynamic_cast<const CbrSource*>(source_.get()) != nullptr &&
+      dynamic_cast<const ConstantIntervalTimer*>(&gateway_.policy()) !=
+          nullptr) {
+    loop_ = TestbedLoop::kCbrCit;
+    run_until_ = &Testbed::run_until<CbrSource, ConstantIntervalTimer>;
+  }
 }
 
+template <typename Source, typename Policy>
 void Testbed::run_until(Seconds t_end) {
+  Source& source = static_cast<Source&>(*source_);
   enum class Next { kArrival, kFire, kEmission };
   for (;;) {
     Next next = Next::kArrival;
@@ -61,11 +73,11 @@ void Testbed::run_until(Seconds t_end) {
     ++clock_.processed_;
     switch (next) {
       case Next::kArrival:
-        gateway_.on_packet(source_->next_packet(now), now);
-        arrival_ = {source_->next_arrival(now, rng_), next_seq_++};
+        gateway_.on_packet(source.next_packet(now), now);
+        arrival_ = {source.next_arrival(now, rng_), next_seq_++};
         break;
       case Next::kFire: {
-        const GatewayFire fired = gateway_.fire(now);
+        const GatewayFire fired = gateway_.fire<Policy>(now);
         if (fired.emits) {
           // The fire pushed the previous next-fire past the previous
           // emission, so that emission has already run.
@@ -110,7 +122,9 @@ std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out)
   const Seconds slab =
       static_cast<Seconds>(count + config_.warmup_piats + 2) *
       config_.policy->mean_interval();
-  while (tap_arrivals_.size() < target) run_until(clock_.now_ + slab);
+  while (tap_arrivals_.size() < target) {
+    (this->*run_until_)(clock_.now_ + slab);
+  }
 
   for (std::size_t i = cursor_; i < target; ++i) {
     out.push_back(tap_arrivals_[i] - tap_arrivals_[i - 1]);
@@ -145,7 +159,7 @@ double Testbed::measured_wire_bps() const {
 double measured_wire_rate_bps(const TestbedConfig& config, util::Rng& rng,
                               std::size_t piats) {
   LINKPAD_EXPECTS(piats > 0);
-  Testbed bed(config, rng);
+  Testbed bed(config, rng, DelaySketches::kSkip);
   std::vector<Seconds> sink;
   sink.reserve(piats);
   bed.collect_piats(piats, sink);

@@ -14,10 +14,6 @@ ConstantIntervalTimer::ConstantIntervalTimer(Seconds tau) : tau_(tau) {
   LINKPAD_EXPECTS(tau > 0.0);
 }
 
-Seconds ConstantIntervalTimer::next_interval(util::Rng& /*rng*/) {
-  return tau_;
-}
-
 std::string ConstantIntervalTimer::name() const {
   std::ostringstream out;
   out << "CIT(tau=" << units::to_ms(tau_) << "ms)";

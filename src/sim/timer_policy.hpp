@@ -92,7 +92,7 @@ class ConstantIntervalTimer final : public TimerPolicy {
  public:
   explicit ConstantIntervalTimer(Seconds tau);
 
-  Seconds next_interval(util::Rng& rng) override;
+  Seconds next_interval(util::Rng& /*rng*/) override { return tau_; }
   [[nodiscard]] Seconds mean_interval() const override { return tau_; }
   [[nodiscard]] double interval_variance() const override { return 0.0; }
   [[nodiscard]] std::string name() const override;

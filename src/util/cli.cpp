@@ -72,8 +72,10 @@ void ArgParser::add_int(const std::string& name, std::int64_t default_value,
 }
 
 void ArgParser::add_count(const std::string& name, std::size_t default_value,
-                          const std::string& help_text) {
-  declare(name, Spec{help_text, std::to_string(default_value), Kind::kCount});
+                          std::size_t max_value, const std::string& help_text) {
+  LINKPAD_EXPECTS(default_value <= max_value);
+  declare(name, Spec{help_text, std::to_string(default_value), Kind::kCount,
+                     max_value});
 }
 
 void ArgParser::add_num(const std::string& name, double default_value,
@@ -119,23 +121,38 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     }
     // Typed options are validated HERE, while the offending token is still
     // attributable to the command line — not at first accessor use.
-    const Kind kind = it->second.kind;
     const std::string& value = values_[name];
-    const char* problem = nullptr;
-    if (kind == Kind::kInt && !parse_integer_text(value)) {
-      problem = "is not an integer";
-    } else if (kind == Kind::kCount && !parse_count_text(value)) {
-      problem = "is not a count (a non-negative integer)";
-    } else if (kind == Kind::kNum && !parse_number_text(value)) {
-      problem = "is not a finite number";
-    }
-    if (problem != nullptr) {
+    if (const auto problem = problem_with(it->second, value)) {
       std::cerr << program_ << ": option '" << name << "': '" << value
-                << "' " << problem << "\n";
+                << "' " << *problem << "\n";
       return false;
     }
   }
   return true;
+}
+
+std::optional<std::string> ArgParser::problem_with(const Spec& spec,
+                                                   const std::string& text) {
+  switch (spec.kind) {
+    case Kind::kFlag:
+    case Kind::kString:
+      return std::nullopt;
+    case Kind::kInt:
+      if (!parse_integer_text(text)) return "is not an integer";
+      return std::nullopt;
+    case Kind::kCount: {
+      const auto v = parse_count_text(text);
+      if (!v) return "is not a count (a non-negative integer)";
+      if (*v > spec.max_count) {
+        return "exceeds the bound " + std::to_string(spec.max_count);
+      }
+      return std::nullopt;
+    }
+    case Kind::kNum:
+      if (!parse_number_text(text)) return "is not a finite number";
+      return std::nullopt;
+  }
+  return std::nullopt;
 }
 
 const ArgParser::Spec& ArgParser::spec_for(const std::string& name) const {
@@ -186,6 +203,12 @@ std::size_t ArgParser::count(const std::string& name) const {
     throw std::invalid_argument("option " + name + ": '" + text +
                                 "' is not a count");
   }
+  const std::size_t bound = spec_for(name).max_count;
+  if (*v > bound) {
+    throw std::invalid_argument("option " + name + ": '" + text +
+                                "' exceeds the bound " +
+                                std::to_string(bound));
+  }
   return *v;
 }
 
@@ -206,7 +229,9 @@ std::string ArgParser::help() const {
     if (type != nullptr) {
       out << " <" << type << " = " << spec.default_value << ">";
     }
-    out << "\n      " << spec.help << "\n";
+    out << "\n      " << spec.help;
+    if (spec.kind == Kind::kCount) out << " (at most " << spec.max_count << ")";
+    out << "\n";
   }
   out << "  --help\n      Show this message.\n";
   return out.str();

@@ -7,12 +7,25 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace linkpad::util {
+
+/// Bound of every count that sizes a capture or a run (--windows, --n,
+/// --piats, --slots, --flows, --sample, and --round / --grain, which index
+/// and group flows): 2^30, so an array of 8-byte values sized by one such
+/// count stays within 8 GiB. The bound is per flag; the parser does not
+/// bound combined sizes, so `--windows 1073741824 --n 1073741824` parses
+/// and asks for 2^60 PIATs, which fails when the run allocates them.
+inline constexpr std::size_t kMaxRunCount = std::size_t{1} << 30;
+
+/// Bound of a worker-thread count (--threads): a pool starts that many OS
+/// threads at once.
+inline constexpr std::size_t kMaxThreads = 1024;
 
 /// Declarative command-line parser; declare options, then parse().
 class ArgParser {
@@ -31,10 +44,11 @@ class ArgParser {
   /// in the generated --help.
   void add_int(const std::string& name, std::int64_t default_value,
                const std::string& help);
-  /// Declare a typed count option: an integer that must not be negative,
-  /// so `--windows -5` fails at parse time instead of wrapping to 2^64 − 5.
+  /// Declare a typed count option: an integer in [0, max_value], so
+  /// `--windows -5` fails at parse time instead of wrapping to 2^64 − 5 and
+  /// `--threads 1000000` instead of asking for a million threads.
   void add_count(const std::string& name, std::size_t default_value,
-                 const std::string& help);
+                 std::size_t max_value, const std::string& help);
   /// Declare a typed real-number option (same parse-time validation). NaN
   /// and ±inf are refused.
   void add_num(const std::string& name, double default_value,
@@ -48,7 +62,8 @@ class ArgParser {
   [[nodiscard]] std::string str(const std::string& name) const;
   [[nodiscard]] double num(const std::string& name) const;
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
-  /// The option as a count; throws std::invalid_argument if it is negative.
+  /// The option as a count; throws std::invalid_argument if it is negative
+  /// or above the bound add_count declared.
   [[nodiscard]] std::size_t count(const std::string& name) const;
 
   /// Render the --help text.
@@ -60,7 +75,11 @@ class ArgParser {
     std::string help;
     std::string default_value;
     Kind kind = Kind::kString;
+    std::size_t max_count = std::numeric_limits<std::size_t>::max();
   };
+  /// Why `text` is not a value of `spec`'s type; nullopt when it is one.
+  static std::optional<std::string> problem_with(const Spec& spec,
+                                                 const std::string& text);
   const Spec& spec_for(const std::string& name) const;
   void declare(const std::string& name, Spec spec);
 

@@ -182,8 +182,8 @@ TEST(Adversary, UntrainedUseViolatesContract) {
   cfg.window_size = 100;
   Adversary adv(cfg);
   const std::vector<double> w(100, 0.01);
-  EXPECT_THROW(adv.classify_window(w), linkpad::ContractViolation);
-  EXPECT_THROW(adv.classifier(), linkpad::ContractViolation);
+  EXPECT_THROW((void)adv.classify_window(w), linkpad::ContractViolation);
+  EXPECT_THROW((void)adv.classifier(), linkpad::ContractViolation);
 }
 
 TEST(Adversary, TrainingFeatureCountsMatchWindows) {

@@ -117,7 +117,7 @@ TEST(ConfusionMatrix, BoundsChecked) {
   ConfusionMatrix cm(2);
   EXPECT_THROW(cm.add(2, 0), linkpad::ContractViolation);
   EXPECT_THROW(cm.add(0, -1), linkpad::ContractViolation);
-  EXPECT_THROW(cm.count(5, 0), linkpad::ContractViolation);
+  EXPECT_THROW((void)cm.count(5, 0), linkpad::ContractViolation);
 }
 
 TEST(ConfusionMatrix, ToStringMentionsRates) {
@@ -132,7 +132,7 @@ TEST(ConfusionMatrix, ToStringMentionsRates) {
 TEST(ConfusionMatrix, DetectionRateValidatesPriors) {
   ConfusionMatrix cm(2);
   cm.add(0, 0);
-  EXPECT_THROW(cm.detection_rate({1.0}), linkpad::ContractViolation);
+  EXPECT_THROW((void)cm.detection_rate({1.0}), linkpad::ContractViolation);
 }
 
 }  // namespace

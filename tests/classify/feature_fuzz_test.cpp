@@ -133,9 +133,9 @@ std::vector<std::pair<FeatureKind, QuantileMode>> all_accumulator_kinds() {
 
 TEST(FeatureFuzz, WholeWindowKernelsMatchPerWindowPath) {
   // add_windows runs dedicated kernels (mean and variance interleave up to
-  // four windows); window counts 1–9 hit every 4/2/1 lane remainder. Each
-  // value must be bitwise the per-window add_span / value / reset result,
-  // and the accumulator must come back reset.
+  // eight windows); window counts 1–9 hit the 8-lane group and every 4/2/1
+  // lane remainder. Each value must be bitwise the per-window add_span /
+  // value / reset result, and the accumulator must come back reset.
   util::Rng rng(0x3a11);
   for (const auto& [kind, mode] : all_accumulator_kinds()) {
     for (std::size_t windows = 1; windows <= 9; ++windows) {
@@ -175,6 +175,40 @@ TEST(FeatureFuzz, WholeWindowKernelsMatchPerWindowPath) {
             expect_bitwise(values[w + 1], expected[w],
                            label + " window " + std::to_string(w));
           }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(FeatureFuzz, LaneKernelsMatchPerWindowPathAtEveryTail) {
+  // The mean and variance kernels run windows 8 at a time, then 4, 2 and
+  // 1. Window counts 1–19 give every tail after zero, one and two 8-lane
+  // groups; n covers the shortest windows variance allows up to the
+  // figures' n = 1000. Every window's samples differ, so a value written
+  // to another window's slot cannot match.
+  util::Rng rng(0x8a7e);
+  for (const FeatureKind kind :
+       {FeatureKind::kSampleMean, FeatureKind::kSampleVariance}) {
+    for (const std::size_t n : {2, 3, 100, 1000}) {
+      for (std::size_t windows = 1; windows <= 19; ++windows) {
+        std::vector<double> xs(windows * n);
+        for (double& x : xs) x = 10e-3 + rng.uniform(-2e-3, 2e-3);
+        const std::string label = feature_name(kind) + " windows " +
+                                  std::to_string(windows) + " n " +
+                                  std::to_string(n);
+        auto reference = make_window_accumulator(kind);
+        auto kernel = make_window_accumulator(kind);
+        std::vector<double> values;
+        kernel->add_windows(xs, n, values);
+        ASSERT_EQ(values.size(), windows) << label;
+        EXPECT_EQ(kernel->count(), 0u) << label;
+        for (std::size_t w = 0; w < windows; ++w) {
+          reference->add_span(std::span<const double>(xs).subspan(w * n, n));
+          expect_bitwise(values[w], reference->value(),
+                         label + " window " + std::to_string(w));
+          reference->reset();
         }
         if (::testing::Test::HasFailure()) return;
       }

@@ -166,8 +166,8 @@ TEST(Fig8, CampusStaysHotWanCoolsDown) {
 
 TEST(FigureSeries, CurveLookupByNameThrowsOnMiss) {
   const auto fig = fig5b_n99_vs_sigma(FigureOptions{});
-  EXPECT_NO_THROW(fig.curve("sample variance"));
-  EXPECT_THROW(fig.curve("nonexistent"), std::invalid_argument);
+  EXPECT_NO_THROW((void)fig.curve("sample variance"));
+  EXPECT_THROW((void)fig.curve("nonexistent"), std::invalid_argument);
 }
 
 TEST(SharedHelper, DetectionRatesOnScenarioOrdersFeatures) {

@@ -150,9 +150,9 @@ TEST(PrefixReplay, AxisInvariantToBatchSize) {
 
 TEST(PrefixReplay, LookupThrowsOffAxis) {
   const auto result = ExperimentEngine().run(axis_spec(29));
-  EXPECT_NO_THROW(result.at_sample_size(100));
-  EXPECT_THROW(result.at_sample_size(101), std::invalid_argument);
-  EXPECT_THROW(result.by_sample_size.front().outcome(
+  EXPECT_NO_THROW((void)result.at_sample_size(100));
+  EXPECT_THROW((void)result.at_sample_size(101), std::invalid_argument);
+  EXPECT_THROW((void)result.by_sample_size.front().outcome(
                    classify::FeatureKind::kMedianAbsDeviation),
                std::invalid_argument);
 

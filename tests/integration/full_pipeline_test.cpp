@@ -139,7 +139,7 @@ TEST(FullPipeline, QosAccountingMatchesPaddingTheory) {
   util::RngFactory f(17);
   auto rng = f.make(0);
   sim::Testbed bed(scenario.config_for(1), rng);  // 40 pps (heaviest)
-  bed.collect_piats(20000);
+  (void)bed.collect_piats(20000);
   const auto& delay = bed.gateway_stats().queueing_delay;
   ASSERT_GT(delay.count(), 100u);
   EXPECT_LT(delay.mean(), 10e-3);

@@ -2,7 +2,10 @@
 // wiring of the same apparatus: a sim::Simulation driving PaddingGateway,
 // the payload source and a PathModel tap in run_until slabs. Every policy ×
 // payload × hop layout must give the same PIATs, gateway stats, clock, wire
-// rate and event count, bit for bit, after every pull.
+// rate and event count, bit for bit, after every pull. The loop
+// instantiation on concrete (source, policy) types is also held to the
+// generic instantiation on the same draws, and a testbed without delay
+// sketches to one with them.
 //
 // The same file pins PacketLevelTestbed (the DES driver that stays) to
 // digests of its PIATs and gateway stats.
@@ -107,13 +110,18 @@ class DesTestbed {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+/// The GatewayStats counters, which do not depend on DelaySketches.
+std::vector<std::uint64_t> counter_words(const GatewayStats& s) {
+  return {s.payload_in,    s.payload_out, s.dummy_out,
+          s.dropped,       s.timer_fires, s.suppressed_fires,
+          s.payload_bytes, s.padding_bytes};
+}
+
 /// Every GatewayStats field as 64-bit words: the counters, the queueing
 /// delay moments the sample size defines, and the three P² values.
 std::vector<std::uint64_t> stats_words(const GatewayStats& s) {
-  std::vector<std::uint64_t> w = {
-      s.payload_in,    s.payload_out,   s.dummy_out,
-      s.dropped,       s.timer_fires,   s.suppressed_fires,
-      s.payload_bytes, s.padding_bytes, s.queueing_delay.count()};
+  std::vector<std::uint64_t> w = counter_words(s);
+  w.push_back(s.queueing_delay.count());
   const std::size_t n = s.queueing_delay.count();
   if (n > 0) {
     w.insert(w.end(), {bits(s.queueing_delay.mean()),
@@ -138,31 +146,93 @@ std::vector<std::uint64_t> piat_words(const std::vector<Seconds>& piats) {
   return w;
 }
 
-/// Pull `pulls` from both testbeds in turn and require bit-identity of
-/// everything either exposes after each pull.
+/// Pull `pulls` from `reference` and `bed` in turn and require
+/// bit-identity of everything either exposes after each pull: PIATs,
+/// gateway stats (`words` picks which), clock, wire rate and event count.
+template <typename Reference>
+void expect_same_pulls(
+    Reference& reference, Testbed& bed, const std::vector<std::size_t>& pulls,
+    std::vector<std::uint64_t> (*words)(const GatewayStats&) = stats_words) {
+  for (std::size_t p = 0; p < pulls.size(); ++p) {
+    std::vector<Seconds> want;
+    std::vector<Seconds> got;
+    reference.collect_piats(pulls[p], want);
+    ASSERT_EQ(bed.collect_piats(pulls[p], got), pulls[p]);
+    ASSERT_EQ(piat_words(got), piat_words(want)) << "pull " << p;
+    EXPECT_EQ(words(bed.gateway_stats()), words(reference.gateway_stats()))
+        << "pull " << p;
+    EXPECT_EQ(bits(bed.simulation().now()),
+              bits(reference.simulation().now()))
+        << "pull " << p;
+    EXPECT_EQ(bits(bed.measured_wire_bps()),
+              bits(reference.measured_wire_bps()))
+        << "pull " << p;
+    EXPECT_EQ(bed.simulation().events_processed(),
+              reference.simulation().events_processed())
+        << "pull " << p;
+  }
+}
+
+/// The testbed against the DES oracle, both seeded with `seed`.
 void expect_same_pulls(const TestbedConfig& config, std::uint64_t seed,
                        const std::vector<std::size_t>& pulls) {
   util::Xoshiro256pp rng_des(seed);
   util::Xoshiro256pp rng_bed(seed);
   DesTestbed des(config, rng_des);
   Testbed bed(config, rng_bed);
-  for (std::size_t p = 0; p < pulls.size(); ++p) {
-    std::vector<Seconds> want;
-    std::vector<Seconds> got;
-    des.collect_piats(pulls[p], want);
-    ASSERT_EQ(bed.collect_piats(pulls[p], got), pulls[p]);
-    ASSERT_EQ(piat_words(got), piat_words(want)) << "pull " << p;
-    EXPECT_EQ(stats_words(bed.gateway_stats()),
-              stats_words(des.gateway_stats()))
-        << "pull " << p;
-    EXPECT_EQ(bits(bed.simulation().now()), bits(des.simulation().now()))
-        << "pull " << p;
-    EXPECT_EQ(bits(bed.measured_wire_bps()), bits(des.measured_wire_bps()))
-        << "pull " << p;
-    EXPECT_EQ(bed.simulation().events_processed(),
-              des.simulation().events_processed())
-        << "pull " << p;
+  expect_same_pulls(des, bed, pulls);
+}
+
+/// Forwards every call to the policy it wraps. The testbed cannot see
+/// through it, so it runs the generic loop on exactly the draws of the
+/// wrapped policy: the reference for the specialized instantiation.
+class Forwarding final : public TimerPolicy {
+ public:
+  explicit Forwarding(std::unique_ptr<TimerPolicy> inner)
+      : inner_(std::move(inner)) {}
+  Seconds next_interval(util::Rng& rng) override {
+    return inner_->next_interval(rng);
   }
+  [[nodiscard]] Seconds mean_interval() const override {
+    return inner_->mean_interval();
+  }
+  [[nodiscard]] double interval_variance() const override {
+    return inner_->interval_variance();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void observe(const GatewayFeedback& feedback) override {
+    inner_->observe(feedback);
+  }
+  [[nodiscard]] bool spend_dummy(const GatewayFeedback& feedback) override {
+    return inner_->spend_dummy(feedback);
+  }
+  [[nodiscard]] bool payload_reactive() const override {
+    return inner_->payload_reactive();
+  }
+  [[nodiscard]] std::unique_ptr<TimerPolicy> clone() const override {
+    return std::make_unique<Forwarding>(inner_->clone());
+  }
+
+ private:
+  std::unique_ptr<TimerPolicy> inner_;
+};
+
+/// The loop `config` runs in, its generic twin and the DES oracle must
+/// agree bit for bit after every pull; `loop` is the instantiation the
+/// testbed must pick for `config`.
+void expect_loop_matches(const TestbedConfig& config, TestbedLoop loop,
+                         std::uint64_t seed,
+                         const std::vector<std::size_t>& pulls) {
+  TestbedConfig twin = config;
+  twin.policy = std::make_shared<Forwarding>(config.policy->clone());
+  util::Xoshiro256pp rng_generic(seed);
+  util::Xoshiro256pp rng_bed(seed);
+  Testbed generic(twin, rng_generic);
+  Testbed bed(config, rng_bed);
+  ASSERT_EQ(generic.loop(), TestbedLoop::kGeneric);
+  ASSERT_EQ(bed.loop(), loop);
+  expect_same_pulls(generic, bed, pulls);
+  expect_same_pulls(config, seed, pulls);
 }
 
 // ------------------------------------------------------------------ grid
@@ -246,6 +316,18 @@ const char* payload_label(PayloadKind kind) {
   return "?";
 }
 
+/// The loop instantiation a grid point must run: CBR payload with CIT gets
+/// its own, everything else the generic one.
+TestbedLoop grid_loop(int policy, PayloadKind payload) {
+  return policy == 0 && payload == PayloadKind::kCbr ? TestbedLoop::kCbrCit
+                                                     : TestbedLoop::kGeneric;
+}
+
+/// Pulls of 1, 7 and 8192 PIATs, then one that carries the consumed
+/// arrivals past 65,536 (the testbed trims its arrival buffer there), then
+/// one more from the trimmed buffer.
+const std::vector<std::size_t> kPulls = {1, 7, 8192, 57500, 3};
+
 using GridPoint = std::tuple<int, PayloadKind, int>;
 
 class LoopMatchesDes : public ::testing::TestWithParam<GridPoint> {};
@@ -257,13 +339,12 @@ TEST_P(LoopMatchesDes, BitIdenticalAfterEveryPull) {
   config.payload_kind = payload;
   config.payload_rate = 40.0;
   config.hops_before_tap = grid_hops(hops);
-  // Pulls of 1, 7 and 8192 PIATs, then one that carries the consumed
-  // arrivals past 65,536 (the testbed trims its arrival buffer there), then
-  // one more from the trimmed buffer.
   const std::uint64_t seed =
       20030324 + static_cast<std::uint64_t>(100 * policy + 10 * hops) +
       static_cast<std::uint64_t>(payload);
-  expect_same_pulls(config, seed, {1, 7, 8192, 57500, 3});
+  expect_same_pulls(config, seed, kPulls);
+  util::Xoshiro256pp rng(seed);
+  EXPECT_EQ(Testbed(config, rng).loop(), grid_loop(policy, payload));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -278,6 +359,102 @@ INSTANTIATE_TEST_SUITE_P(
              payload_label(std::get<1>(info.param)) + "_" +
              hops_label(std::get<2>(info.param));
     });
+
+// -------------------------------- specialized loop against the generic one
+
+/// No hops, then one hop at ρ 0.51 and one at the 0.95 cap under each
+/// service model, then the four mixed hops.
+std::vector<HopConfig> specialized_hops(int i) {
+  const ServiceModel models[] = {ServiceModel::kDeterministic,
+                                 ServiceModel::kExponential,
+                                 ServiceModel::kTrimodal};
+  if (i == 0) return {};
+  if (i <= 6) {
+    const double rho = i <= 3 ? 0.51 : 0.95;
+    return {hop(500e6, rho, 1500, models[(i - 1) % 3])};
+  }
+  return grid_hops(3);
+}
+
+const char* specialized_hops_label(int i) {
+  static const char* const kLabels[] = {
+      "no_hops",        "rho051_det",     "rho051_exp",
+      "rho051_trimodal", "rho095_det",    "rho095_exp",
+      "rho095_trimodal", "four_mixed"};
+  return kLabels[i];
+}
+
+class SpecializedLoopMatchesGeneric : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpecializedLoopMatchesGeneric, BitIdenticalAfterEveryPull) {
+  const int hops = GetParam();
+  TestbedConfig config;
+  config.policy = grid_policy(0);
+  config.payload_rate = 40.0;
+  config.hops_before_tap = specialized_hops(hops);
+  expect_loop_matches(config, TestbedLoop::kCbrCit,
+                      20240611 + static_cast<std::uint64_t>(hops), kPulls);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CbrCit, SpecializedLoopMatchesGeneric, ::testing::Range(0, 8),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(specialized_hops_label(info.param));
+    });
+
+TEST(TestbedReference, SpecializedQueueFillsToCapacityAndDrops) {
+  // CBR payload at four times the CIT timer rate: the queue of the
+  // specialized loop fills to its capacity within 14 s, then three of
+  // every four arrivals drop.
+  TestbedConfig config;
+  config.policy = std::make_shared<ConstantIntervalTimer>(10e-3);
+  config.payload_rate = 400.0;
+  expect_loop_matches(config, TestbedLoop::kCbrCit, 93, {1, 8192, 20000});
+  util::Xoshiro256pp rng(93);
+  Testbed bed(config, rng);
+  std::vector<Seconds> sink;
+  bed.collect_piats(28193, sink);
+  const GatewayStats& gs = bed.gateway_stats();
+  EXPECT_GT(gs.dropped, 3 * 20000u);
+  const std::uint64_t queued = gs.payload_in - gs.payload_out - gs.dropped;
+  EXPECT_GE(queued, PaddingGateway::kDefaultQueueCapacity - 1);
+  EXPECT_LE(queued, PaddingGateway::kDefaultQueueCapacity);
+}
+
+// ------------------------------------------------- delay sketches skipped
+
+TEST(TestbedReference, SkippingDelaySketchesKeepsEverythingElse) {
+  // PIATs, counters, clock, wire rate and event count must not depend on
+  // the sketches, on the specialized loop and the generic one alike; the
+  // skipping testbed's delay moments and sketches stay empty.
+  for (int policy : {0, 1, 4}) {
+    for (int hops : {0, 2}) {
+      TestbedConfig config;
+      config.policy = grid_policy(policy);
+      config.payload_kind =
+          policy == 4 ? PayloadKind::kOnOff : PayloadKind::kCbr;
+      config.payload_rate = 40.0;
+      config.hops_before_tap = grid_hops(hops);
+      SCOPED_TRACE(std::string(policy_label(policy)) + " " +
+                   hops_label(hops));
+      util::Xoshiro256pp rng_keep(31);
+      util::Xoshiro256pp rng_skip(31);
+      Testbed keep(config, rng_keep);
+      Testbed skip(config, rng_skip, DelaySketches::kSkip);
+      expect_same_pulls(keep, skip, kPulls, counter_words);
+      const GatewayStats& kept = keep.gateway_stats();
+      const GatewayStats& skipped = skip.gateway_stats();
+      ASSERT_GT(kept.payload_out, 0u);
+      EXPECT_EQ(kept.queueing_delay.count(), kept.payload_out);
+      EXPECT_EQ(kept.delay_p95.count(), kept.payload_out);
+      EXPECT_EQ(skipped.queueing_delay.count(), 0u);
+      for (const stats::P2Quantile* q :
+           {&skipped.delay_p50, &skipped.delay_p95, &skipped.delay_p99}) {
+        EXPECT_EQ(q->count(), 0u);
+      }
+    }
+  }
+}
 
 TEST(TestbedReference, EqualTimesRunInSchedulingOrder) {
   // Far out on the clock (t ≥ 2^24 s) the gateway's 1 ns push of a late

@@ -101,7 +101,7 @@ TEST(Testbed, GatewayStatsAccessible) {
   auto cfg = base_config();
   util::Xoshiro256pp rng(17);
   Testbed bed(cfg, rng);
-  bed.collect_piats(1000);
+  (void)bed.collect_piats(1000);
   const auto& gs = bed.gateway_stats();
   EXPECT_GT(gs.timer_fires, 1000u);
   EXPECT_GT(gs.payload_out, 0u);

@@ -73,7 +73,7 @@ TEST(P2Quantile, ResetForgetsSamplesButKeepsTarget) {
 TEST(P2Quantile, RejectsDegenerateTargets) {
   EXPECT_THROW(P2Quantile(0.0), linkpad::ContractViolation);
   EXPECT_THROW(P2Quantile(1.0), linkpad::ContractViolation);
-  EXPECT_THROW(P2Quantile(0.5).value(), linkpad::ContractViolation);
+  EXPECT_THROW((void)P2Quantile(0.5).value(), linkpad::ContractViolation);
 }
 
 

@@ -83,7 +83,7 @@ TEST(ArgParser, HelpReturnsFalse) {
 TEST(ArgParser, NonNumericValueThrowsOnAccess) {
   auto p = make_parser();
   ASSERT_TRUE(parse(p, {"--sigma", "abc"}));
-  EXPECT_THROW(p.num("--sigma"), std::invalid_argument);
+  EXPECT_THROW((void)p.num("--sigma"), std::invalid_argument);
 }
 
 TEST(ArgParser, UndeclaredOptionAccessThrows) {
@@ -147,7 +147,7 @@ TEST(ArgParserTyped, HelpShowsTypedDefaults) {
 ArgParser make_kinds_parser() {
   ArgParser p("prog", "one option of each typed kind");
   p.add_int("--int", 0, "an integer");
-  p.add_count("--count", 0, "a count");
+  p.add_count("--count", 0, kMaxRunCount, "a count");
   p.add_num("--num", 0.0, "a number");
   return p;
 }
@@ -173,6 +173,41 @@ TEST(ArgParserTyped, CountsRejectNegativeValuesAndNameTheFlag) {
   EXPECT_EQ(p.integer("--int"), -5);
   EXPECT_EQ(p.count("--count"), 0u);
   EXPECT_NE(p.help().find("<count = 0>"), std::string::npos);
+}
+
+TEST(ArgParserTyped, CountsRejectValuesAboveTheirBoundAndNameIt) {
+  // Refused at parse time, by flag and bound: nothing downstream ever
+  // sees the value, so no test here sizes a pool or a run from it.
+  const auto parse_bounded = [](const std::vector<const char*>& argv,
+                                std::string* err) {
+    ArgParser p("prog", "bounded counts");
+    p.add_count("--threads", 0, kMaxThreads, "worker threads");
+    p.add_count("--windows", 10, kMaxRunCount, "windows per class");
+    ::testing::internal::CaptureStderr();
+    const bool ok = parse(p, argv);
+    *err = ::testing::internal::GetCapturedStderr();
+    return ok ? std::optional<ArgParser>(p) : std::nullopt;
+  };
+  std::string err;
+  EXPECT_FALSE(parse_bounded({"--threads", "1000000"}, &err));
+  EXPECT_NE(err.find("prog: option '--threads': '1000000' exceeds the "
+                     "bound 1024"),
+            std::string::npos)
+      << err;
+  EXPECT_FALSE(parse_bounded({"--windows=1073741825"}, &err));
+  EXPECT_NE(err.find("prog: option '--windows': '1073741825' exceeds the "
+                     "bound 1073741824"),
+            std::string::npos)
+      << err;
+  const auto p = parse_bounded({"--threads", "1024", "--windows",
+                                "1073741824"},
+                               &err);
+  ASSERT_TRUE(p) << err;
+  EXPECT_EQ(p->count("--threads"), kMaxThreads);
+  EXPECT_EQ(p->count("--windows"), kMaxRunCount);
+  EXPECT_NE(p->help().find("worker threads (at most 1024)"),
+            std::string::npos);
+  EXPECT_EQ(kMaxRunCount, std::size_t{1073741824});
 }
 
 TEST(ArgParserTyped, NumbersRejectNanAndInfinity) {
@@ -243,7 +278,8 @@ std::string fuzz_token(util::Rng& rng) {
       "1e-320", "nan", "-nan", "inf", "-inf", "infinity", " 7", "7 ", "1,5",
       "1.5x", "9223372036854775807", "9223372036854775808",
       "-9223372036854775808", "-9223372036854775809", "18446744073709551615",
-      "18446744073709551616", "4294967296", "-1"};
+      "18446744073709551616", "4294967296", "1073741824", "1073741825",
+      "-1"};
   std::string token;
   switch (pick(4)) {
     case 0:
@@ -301,7 +337,8 @@ TEST(ArgParserFuzz, TypedTokensParseOrFailByName) {
             EXPECT_EQ(p.integer(flag), *exact);
           }
         } else if (name == "--count") {
-          EXPECT_EQ(ok, exact.has_value() && *exact >= 0)
+          EXPECT_EQ(ok, exact.has_value() && *exact >= 0 &&
+                            static_cast<std::size_t>(*exact) <= kMaxRunCount)
               << "'" << token << "'";
           if (ok) {
             EXPECT_EQ(p.count(flag), static_cast<std::size_t>(*exact));
