@@ -9,7 +9,8 @@
 // M/G/1 stationary-wait
 // sampler, normal sampling (polar vs Ziggurat) and the prefix-replay
 // curve pipeline (Fig 4(b)'s detection-vs-n workload, one engine run per
-// point vs one collapsed run — outcomes asserted bit-identical), plus the
+// point vs one collapsed run, and the collapsed run with its classes as
+// concurrent pool tasks — outcomes asserted bit-identical), plus the
 // population axis: thread scaling, process sharding, and the sampled
 // execution mode (m-of-M strata with contention pinned at the full M,
 // sampled flows asserted bitwise equal to their exhaustive twins), and the
@@ -51,6 +52,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace linkpad;
 
@@ -287,6 +289,9 @@ struct DerivedMetrics {
   double curve_points_per_sec = 0.0;
   /// Prefix-replay (1 sim) vs per-point engine runs (k sims), same curve.
   double curve_speedup_fig4b = 0.0;
+  /// The prefix-replay curve with its classes as concurrent tasks on the
+  /// shared pool vs the pool-less engine (no floor: it measures the host).
+  double curve_pool_speedup = 0.0;
   /// Ziggurat vs Marsaglia-polar standard-normal throughput.
   double ziggurat_normal_speedup = 0.0;
   /// Population throughput: flows/sec through PopulationEngine at M = 1000
@@ -337,8 +342,10 @@ void print_table(const std::vector<BenchResult>& results,
   std::printf("change-point (CUSUM) detector updates: %.3e updates/sec\n",
               derived.cpd_updates_per_sec);
   std::printf("Fig 4(b) curve throughput: %.3e points/sec "
-              "(prefix replay vs per-point sims: %.2fx)\n",
-              derived.curve_points_per_sec, derived.curve_speedup_fig4b);
+              "(prefix replay vs per-point sims: %.2fx, pooled classes vs "
+              "one thread: %.2fx)\n",
+              derived.curve_points_per_sec, derived.curve_speedup_fig4b,
+              derived.curve_pool_speedup);
   std::printf("ziggurat normal sampling speedup: %.2fx\n",
               derived.ziggurat_normal_speedup);
   std::printf("population throughput at M = 1000: %.3e flows/sec "
@@ -365,7 +372,7 @@ void print_json(const std::vector<BenchResult>& results,
   // scaling target is meaningless on a 1-core CI box).
   const unsigned hw_threads =
       std::max(1u, std::thread::hardware_concurrency());
-  std::printf("{\n  \"version\": 9,\n  \"hw_threads\": %u,\n"
+  std::printf("{\n  \"version\": 10,\n  \"hw_threads\": %u,\n"
               "  \"benchmarks\": [\n",
               hw_threads);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -386,6 +393,7 @@ void print_json(const std::vector<BenchResult>& results,
               "    \"streaming_vs_batch_variance\": %.4f,\n"
               "    \"curve_points_per_sec\": %.6e,\n"
               "    \"curve_speedup_fig4b\": %.4f,\n"
+              "    \"curve_pool_speedup\": %.4f,\n"
               "    \"ziggurat_normal_speedup\": %.4f,\n"
               "    \"population_flows_per_sec\": %.6e,\n"
               "    \"population_thread_speedup\": %.4f,\n"
@@ -402,6 +410,7 @@ void print_json(const std::vector<BenchResult>& results,
               derived.cpd_updates_per_sec,
               derived.streaming_vs_batch_variance,
               derived.curve_points_per_sec, derived.curve_speedup_fig4b,
+              derived.curve_pool_speedup,
               derived.ziggurat_normal_speedup,
               derived.population_flows_per_sec,
               derived.population_thread_speedup,
@@ -427,7 +436,8 @@ const std::vector<std::size_t>& fig4b_axis() {
   return axis;
 }
 
-std::vector<double> run_fig4b_curve(std::size_t windows, bool collapsed) {
+std::vector<double> run_fig4b_curve(std::size_t windows, bool collapsed,
+                                    util::ThreadPool* pool = nullptr) {
   const auto scenario = core::lab_zero_cross(core::make_cit());
   const std::vector<classify::FeatureKind> features = {
       classify::FeatureKind::kSampleMean,
@@ -450,7 +460,8 @@ std::vector<double> run_fig4b_curve(std::size_t windows, bool collapsed) {
   if (collapsed) {
     spec.sample_size_axis = axis;
     spec.plan.adversary.window_size = n_max;
-    const auto result = core::ExperimentEngine().run(spec);
+    const auto result =
+        core::ExperimentEngine(core::sim_backend(), 8192, pool).run(spec);
     for (const auto& point : result.by_sample_size) {
       for (const auto& outcome : point.per_feature) {
         rates.push_back(outcome.detection_rate);
@@ -867,6 +878,23 @@ int main(int argc, char** argv) try {
         }));
     derived.curve_points_per_sec = results.back().items_per_sec;
     derived.curve_speedup_fig4b = derived.curve_points_per_sec / old_pps;
+
+    // The same collapsed curve with its classes as concurrent tasks on the
+    // shared pool (what the figure drivers run): the rates must not move.
+    util::ThreadPool& pool = util::ThreadPool::global();
+    if (run_fig4b_curve(windows, /*collapsed=*/true, &pool) != new_rates) {
+      std::fprintf(stderr,
+                   "FATAL: pooled curve diverged from the pool-less engine "
+                   "— per-class schedule changed an outcome\n");
+      return 1;
+    }
+    results.push_back(
+        run_bench("curve/fig4b_pooled", "points", min_time, [&] {
+          (void)run_fig4b_curve(windows, /*collapsed=*/true, &pool);
+          return static_cast<std::uint64_t>(points);
+        }));
+    derived.curve_pool_speedup =
+        results.back().items_per_sec / derived.curve_points_per_sec;
   }
 
   // Defense frontier: the 5-rung budget ladder through run_frontier — one

@@ -55,7 +55,8 @@ int main(int argc, char** argv) try {
 
   const auto scenario = core::lab_zero_cross(core::make_cit());
   const auto& backend = core::sim_backend();
-  const std::size_t piats = windows * n;
+  const std::size_t piats =
+      util::bounded_run_count(windows, "--windows", n, "--n");
   constexpr std::size_t kBatch = 8192;
 
   // Focus feature first, every other statistic rides the same pass.

@@ -16,7 +16,6 @@ void ConfusionMatrix::add(ClassLabel truth, ClassLabel predicted) {
   LINKPAD_EXPECTS(predicted >= 0 && static_cast<std::size_t>(predicted) < n_);
   ++counts_[static_cast<std::size_t>(truth) * n_ +
             static_cast<std::size_t>(predicted)];
-  ++total_;
 }
 
 void ConfusionMatrix::add_count(ClassLabel truth, ClassLabel predicted,
@@ -25,13 +24,17 @@ void ConfusionMatrix::add_count(ClassLabel truth, ClassLabel predicted,
   LINKPAD_EXPECTS(predicted >= 0 && static_cast<std::size_t>(predicted) < n_);
   counts_[static_cast<std::size_t>(truth) * n_ +
           static_cast<std::size_t>(predicted)] += count;
-  total_ += count;
 }
 
 void ConfusionMatrix::merge(const ConfusionMatrix& other) {
   LINKPAD_EXPECTS(other.n_ == n_);
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
+}
+
+std::uint64_t ConfusionMatrix::total() const {
+  std::uint64_t acc = 0;
+  for (const std::uint64_t c : counts_) acc += c;
+  return acc;
 }
 
 std::uint64_t ConfusionMatrix::count(ClassLabel truth,

@@ -30,7 +30,9 @@ class ConfusionMatrix {
 
   [[nodiscard]] std::size_t num_classes() const { return n_; }
   [[nodiscard]] std::uint64_t count(ClassLabel truth, ClassLabel predicted) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
+  /// Sum of every count. Summed on demand rather than kept as a counter:
+  /// concurrent class feeds each write only their own row (DESIGN.md §3).
+  [[nodiscard]] std::uint64_t total() const;
   [[nodiscard]] std::uint64_t row_total(ClassLabel truth) const;
 
   /// P(correct | true class c); 0 when the class has no test samples.
@@ -48,7 +50,6 @@ class ConfusionMatrix {
  private:
   std::size_t n_;
   std::vector<std::uint64_t> counts_;  // row-major [truth][predicted]
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace linkpad::classify

@@ -4,7 +4,9 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,6 +14,7 @@
 #include "classify/detector_bank.hpp"
 #include "stats/descriptive.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -154,8 +157,11 @@ std::optional<Seconds> ExperimentResult::worst_delay_p95() const {
 // --------------------------------------------------------- ExperimentEngine
 
 ExperimentEngine::ExperimentEngine(const ExperimentBackend& backend,
-                                   std::size_t batch_piats)
-    : backend_(&backend), batch_piats_(std::max<std::size_t>(batch_piats, 1)) {}
+                                   std::size_t batch_piats,
+                                   util::ThreadPool* pool)
+    : backend_(&backend),
+      batch_piats_(std::max<std::size_t>(batch_piats, 1)),
+      pool_(pool) {}
 
 std::vector<double> ExperimentEngine::class_stream(
     const ExperimentSpec& spec, std::size_t class_index, std::size_t piats,
@@ -294,6 +300,14 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   const std::size_t k = ns.size();
   const std::size_t n_max = ns.back();
   const auto features = spec.features();
+  // Every point's capture is a prefix of the n_max point's, so bounding
+  // that one bounds them all (and the products below cannot wrap).
+  (void)util::bounded_run_count(spec.plan.train_windows,
+                                "ExperimentSpec train_windows", n_max,
+                                "window size n");
+  (void)util::bounded_run_count(spec.plan.test_windows,
+                                "ExperimentSpec test_windows", n_max,
+                                "window size n");
 
   std::vector<PrefixPoint> points(k);
   std::vector<classify::DetectorBank> banks;
@@ -362,6 +376,43 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
     banks.emplace_back(std::move(detector_specs), num_classes);
   }
 
+  // The three per-class loops below (training-capture fill, training feed,
+  // test stream) write only class c's state: its source and RNG, each
+  // detector's class-c window state and confusion row, and
+  // points[i].train_stats[c]. So they run as one pool task per class when
+  // a pool is given and the backend is replayable (parallel_for_chunks
+  // runs them inline, in class order, on a one-thread pool or from one of
+  // the pool's own workers). A live backend keeps its captures sequential,
+  // so two gateways never perturb each other's measured jitter. The
+  // buffers a task fills (training captures, batch buffers) are reserved
+  // on the calling thread: a pool worker's malloc arena keeps what its
+  // tasks allocate (DESIGN.md §2.3). body(slot, c) learns which task slot
+  // runs class c, so a loop keeps one batch buffer per slot.
+  util::ThreadPool* const pool = backend_->replayable() ? pool_ : nullptr;
+  const std::size_t slots =
+      pool != nullptr ? util::chunk_slots(*pool, num_classes, 1) : 1;
+  auto for_each_class =
+      [&](const std::function<void(std::size_t, std::size_t)>& body) {
+        if (pool == nullptr) {
+          for (std::size_t c = 0; c < num_classes; ++c) body(0, c);
+          return;
+        }
+        util::parallel_for_chunks(
+            *pool, num_classes, 1,
+            [&](std::size_t slot, std::size_t begin, std::size_t end) {
+              for (std::size_t c = begin; c < end; ++c) body(slot, c);
+            });
+      };
+  // Reserved just before the loop that fills them, so a serial run holds
+  // one batch buffer at a time, as a stream_batches call would.
+  auto batch_buffers = [&](std::size_t capacity) {
+    std::vector<std::vector<double>> buffers(slots);
+    for (auto& buffer : buffers) {
+      buffer.reserve(std::min(batch_piats_, capacity));
+    }
+    return buffers;
+  };
+
   // Training feed for one class: every bank gets its clipped share of the
   // batch, and the shared Welford moments are forked at each point's
   // prefix boundary — the snapshot IS that point's training moments, with
@@ -420,16 +471,19 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   // a single-point replayable run simply re-opens the identical streams;
   // a live capture cannot be replayed, and a multi-point axis would
   // re-simulate the whole capture, so both materialize the training
-  // capture once and run the two passes from memory.
+  // capture once and run the two passes from memory. The prepass itself
+  // pools the classes in class order, so it stays on the calling thread.
   // Any bank may need the pooled-Δh prepass: the banks share a feature set,
   // but extra detectors ride only the top bank, so probe all of them.
   bool prepass = false;
   for (const auto& bank : banks) prepass = prepass || bank.needs_prepass();
   if (prepass && (!backend_->replayable() || k > 1)) {
     std::vector<std::vector<double>> train(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      train[c] = class_stream(spec, c, train_capacity, /*salt=*/1);
-    }
+    for (auto& capture : train) capture.reserve(train_capacity);
+    for_each_class([&](std::size_t, std::size_t c) {
+      (void)pull_stream(*backend_, spec.scenario, c, spec.seed, /*salt=*/1,
+                        train_capacity, batch_piats_, train[c]);
+    });
     // Pooled prepass σ per DISTINCT prefix budget; banks sharing a budget
     // share it.
     std::vector<std::size_t> budgets;
@@ -444,12 +498,12 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
       banks[i].finish_prepass(stddevs[static_cast<std::size_t>(
           std::distance(budgets.begin(), it))]);
     }
-    for (std::size_t c = 0; c < num_classes; ++c) {
+    for_each_class([&](std::size_t, std::size_t c) {
       feed_training(c, [&](auto&& sink) {
         sink(std::span<const double>(train[c]));
         return train[c].size();
       });
-    }
+    });
   } else {
     if (prepass) {  // single point, replayable: stream both passes
       for (std::size_t c = 0; c < num_classes; ++c) {
@@ -461,12 +515,15 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
       }
       for (auto& bank : banks) bank.finish_prepass();
     }
-    for (std::size_t c = 0; c < num_classes; ++c) {
+    auto buffers = batch_buffers(train_capacity);
+    for_each_class([&](std::size_t slot, std::size_t c) {
+      const auto source =
+          backend_->open_piats(spec.scenario, c, spec.seed, /*salt=*/1);
       feed_training(c, [&](auto&& sink) {
-        return stream_batches(*backend_, spec.scenario, c, spec.seed,
-                              /*salt=*/1, train_capacity, batch_piats_, sink);
+        return stream_batches(*source, train_capacity, batch_piats_,
+                              buffers[slot], sink);
       });
-    }
+    });
   }
   for (std::size_t c = 0; c < num_classes; ++c) {
     // A finite backend (live capture) may come up short; the adversary
@@ -481,13 +538,15 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   // classify its windows with every detector of every point as the batches
   // arrive — the axis shares this single observed capture too. The source
   // is held open past the stream so its padding-cost accounting (the
-  // overhead half of the defense frontier) can be read off afterwards.
-  std::vector<StreamOverhead> overheads;
-  for (std::size_t c = 0; c < num_classes; ++c) {
+  // overhead half of the defense frontier) can be read off afterwards,
+  // into the class's own slot.
+  std::vector<std::optional<StreamOverhead>> overheads(num_classes);
+  auto buffers = batch_buffers(test_capacity);
+  for_each_class([&](std::size_t slot, std::size_t c) {
     std::size_t offset = 0;
     auto source = backend_->open(spec.scenario, c, spec.seed, /*salt=*/2);
     const std::size_t got = stream_batches(
-        *source, test_capacity, batch_piats_,
+        *source, test_capacity, batch_piats_, buffers[slot],
         [&](std::span<const double> batch) {
           for (std::size_t i = 0; i < k; ++i) {
             const auto piece =
@@ -499,12 +558,14 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
     for (const PrefixPoint& p : points) {
       LINKPAD_ENSURES(std::min(got, p.test_limit) >= p.n);
     }
-    if (const auto oh = source->overhead()) overheads.push_back(*oh);
-  }
+    overheads[c] = source->overhead();
+  });
 
   ExperimentResult result;
-  if (overheads.size() == num_classes) {
-    result.overhead_per_class = std::move(overheads);
+  if (std::all_of(overheads.begin(), overheads.end(),
+                  [](const auto& oh) { return oh.has_value(); })) {
+    result.overhead_per_class.reserve(num_classes);
+    for (const auto& oh : overheads) result.overhead_per_class.push_back(*oh);
   }
   const PrefixPoint& top = points.back();  // n_max: the full capture
   result.piat_mean_low = top.train_stats.front().mean();

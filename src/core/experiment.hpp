@@ -213,17 +213,27 @@ struct ExperimentResult {
 /// an entropy Δh prepass is needed, the engine additionally materializes
 /// the training capture once (O(train capture)) instead of re-simulating
 /// it for the second pass.
+///
+/// Each class's capture, training feed and test stream touch only that
+/// class's state, so with a `pool` the engine runs them as one pool task
+/// per class (DESIGN.md §2.3). It does so only when the pool has more than
+/// one thread, the caller is not one of its workers and the backend is
+/// replayable; otherwise the same code runs the classes in order. Results
+/// are bit-identical either way.
 class ExperimentEngine {
  public:
   /// Engine over the default simulated backend.
   ExperimentEngine() : ExperimentEngine(sim_backend()) {}
 
-  /// The backend must outlive the engine. `batch_piats` is the pull size
-  /// per PiatSource::collect call.
+  /// The backend (and the pool, if any) must outlive the engine.
+  /// `batch_piats` is the pull size per PiatSource::collect call.
   explicit ExperimentEngine(const ExperimentBackend& backend,
-                            std::size_t batch_piats = 8192);
+                            std::size_t batch_piats = 8192,
+                            util::ThreadPool* pool = nullptr);
 
-  /// Run one experiment end to end.
+  /// Run one experiment end to end. Throws std::invalid_argument, before
+  /// allocating, when a per-class capture (windows × n) wraps or exceeds
+  /// util::kMaxRunCount PIATs.
   [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec) const;
 
   /// One class's PIAT stream, pulled in batches through the backend. May
@@ -238,6 +248,7 @@ class ExperimentEngine {
  private:
   const ExperimentBackend* backend_;
   std::size_t batch_piats_;
+  util::ThreadPool* pool_;
 };
 
 /// Run one experiment on the default simulated backend.

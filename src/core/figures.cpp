@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "analysis/theory.hpp"
@@ -10,6 +11,7 @@
 #include "core/piat_model.hpp"
 #include "stats/kde.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace linkpad::core {
@@ -23,9 +25,23 @@ const Curve& FigureSeries::curve(const std::string& name) const {
 
 namespace {
 
+/// `base` scaled by FigureOptions::effort (at least 8). An effort that is
+/// not finite and positive, or that scales `base` past
+/// util::kMaxRunCount, is refused by name instead of wrapping to ~2^64.
 std::size_t scaled(std::size_t base, double effort) {
-  return std::max<std::size_t>(8, static_cast<std::size_t>(
-                                      std::llround(base * effort)));
+  std::ostringstream msg;
+  msg << "figure effort " << effort;
+  if (!std::isfinite(effort) || effort <= 0.0) {
+    msg << " is not a finite number > 0";
+    throw std::invalid_argument(msg.str());
+  }
+  const double count = std::round(static_cast<double>(base) * effort);
+  if (count > static_cast<double>(util::kMaxRunCount)) {
+    msg << " scales " << base << " windows past the bound "
+        << util::kMaxRunCount;
+    throw std::invalid_argument(msg.str());
+  }
+  return std::max<std::size_t>(8, static_cast<std::size_t>(count));
 }
 
 const ExperimentBackend& backend_of(const FigureOptions& options) {
@@ -63,7 +79,10 @@ std::vector<std::vector<FeaturePoint>> evaluate_axis(
   spec.max_windows_per_point =
       2 * std::max(train_windows, test_windows);
   spec.seed = seed;
-  const auto result = ExperimentEngine(backend).run(spec);
+  // The classes run as concurrent pool tasks (inline when the figure
+  // already runs this point on a pool worker).
+  const auto result =
+      ExperimentEngine(backend, 8192, &util::ThreadPool::global()).run(spec);
 
   std::vector<std::vector<FeaturePoint>> out;
   out.reserve(sample_sizes.size());

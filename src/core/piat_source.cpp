@@ -92,15 +92,28 @@ std::vector<double> pull_stream(const ExperimentBackend& backend,
                                 std::size_t class_index, std::uint64_t seed,
                                 std::uint64_t salt, std::size_t count,
                                 std::size_t batch_piats) {
-  batch_piats = std::max<std::size_t>(batch_piats, 1);
   std::vector<double> out;
   out.reserve(count);
-  auto source = backend.open_piats(scenario, class_index, seed, salt);
-  while (out.size() < count) {
-    const std::size_t want = std::min(batch_piats, count - out.size());
-    if (source->collect(want, out) < want) break;  // backend exhausted
-  }
+  pull_stream(backend, scenario, class_index, seed, salt, count, batch_piats,
+              out);
   return out;
+}
+
+std::size_t pull_stream(const ExperimentBackend& backend,
+                        const Scenario& scenario, std::size_t class_index,
+                        std::uint64_t seed, std::uint64_t salt,
+                        std::size_t count, std::size_t batch_piats,
+                        std::vector<double>& out) {
+  batch_piats = std::max<std::size_t>(batch_piats, 1);
+  auto source = backend.open_piats(scenario, class_index, seed, salt);
+  std::size_t appended = 0;
+  while (appended < count) {
+    const std::size_t want = std::min(batch_piats, count - appended);
+    const std::size_t got = source->collect(want, out);
+    appended += got;
+    if (got < want) break;  // backend exhausted
+  }
+  return appended;
 }
 
 std::size_t stream_batches(
@@ -109,15 +122,16 @@ std::size_t stream_batches(
     std::size_t count, std::size_t batch_piats,
     const std::function<void(std::span<const double>)>& sink) {
   auto source = backend.open_piats(scenario, class_index, seed, salt);
-  return stream_batches(*source, count, batch_piats, sink);
+  std::vector<double> buffer;
+  buffer.reserve(std::min(std::max<std::size_t>(batch_piats, 1), count));
+  return stream_batches(*source, count, batch_piats, buffer, sink);
 }
 
 std::size_t stream_batches(
     PiatSource& source, std::size_t count, std::size_t batch_piats,
+    std::vector<double>& buffer,
     const std::function<void(std::span<const double>)>& sink) {
   batch_piats = std::max<std::size_t>(batch_piats, 1);
-  std::vector<double> buffer;
-  buffer.reserve(std::min(batch_piats, count));
   std::size_t delivered = 0;
   while (delivered < count) {
     buffer.clear();

@@ -103,6 +103,15 @@ class ExperimentBackend {
                                               std::size_t count,
                                               std::size_t batch_piats = 8192);
 
+/// Same, appending to `out` — whose capacity the caller may have reserved,
+/// so a pool task filling it allocates nothing. Returns the number
+/// appended.
+std::size_t pull_stream(const ExperimentBackend& backend,
+                        const Scenario& scenario, std::size_t class_index,
+                        std::uint64_t seed, std::uint64_t salt,
+                        std::size_t count, std::size_t batch_piats,
+                        std::vector<double>& out);
+
 /// Open one stream through open_piats() and push up to `count` PIATs
 /// through `sink` in bounded batches — the streaming counterpart of
 /// pull_stream: resident memory is O(batch_piats) regardless of `count`.
@@ -116,10 +125,13 @@ std::size_t stream_batches(
     const std::function<void(std::span<const double>)>& sink);
 
 /// Same, over an already-opened source — for callers that need the source
-/// afterwards (e.g. to read its StreamOverhead accounting). Batch sequence
-/// is identical to the backend-opening overload.
+/// afterwards (e.g. to read its StreamOverhead accounting) — pulling every
+/// batch into the caller's `buffer` (cleared before each pull), so a caller
+/// that runs the stream on a pool task can reserve the buffer on its own
+/// thread. Batch sequence is identical to the backend-opening overload.
 std::size_t stream_batches(
     PiatSource& source, std::size_t count, std::size_t batch_piats,
+    std::vector<double>& buffer,
     const std::function<void(std::span<const double>)>& sink);
 
 /// Process-wide default backend: the simulated testbed.

@@ -131,14 +131,12 @@ std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out)
   }
   cursor_ = target;
 
-  // Keep memory bounded across repeated collects: drop everything before
-  // the last consumed arrival.
-  if (cursor_ > (1u << 16)) {
-    tap_arrivals_.erase(tap_arrivals_.begin(),
-                        tap_arrivals_.begin() +
-                            static_cast<std::ptrdiff_t>(cursor_ - 1));
-    cursor_ = 1;
-  }
+  // Keep the tap buffer at about one slab: drop everything before the last
+  // consumed arrival, which the next PIAT diffs against.
+  tap_arrivals_.erase(
+      tap_arrivals_.begin(),
+      tap_arrivals_.begin() + static_cast<std::ptrdiff_t>(cursor_ - 1));
+  cursor_ = 1;
   return count;
 }
 

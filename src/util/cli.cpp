@@ -46,6 +46,18 @@ std::optional<double> parse_number_text(const std::string& text) {
 
 }  // namespace
 
+std::size_t bounded_run_count(std::size_t a, const std::string& a_name,
+                              std::size_t b, const std::string& b_name) {
+  std::size_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product) || product > kMaxRunCount) {
+    throw std::invalid_argument(
+        a_name + " x " + b_name + " = " + std::to_string(a) + " x " +
+        std::to_string(b) + " exceeds the bound " +
+        std::to_string(kMaxRunCount));
+  }
+  return product;
+}
+
 ArgParser::ArgParser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
 

@@ -18,10 +18,19 @@ namespace linkpad::util {
 /// Bound of every count that sizes a capture or a run (--windows, --n,
 /// --piats, --slots, --flows, --sample, and --round / --grain, which index
 /// and group flows): 2^30, so an array of 8-byte values sized by one such
-/// count stays within 8 GiB. The bound is per flag; the parser does not
-/// bound combined sizes, so `--windows 1073741824 --n 1073741824` parses
-/// and asks for 2^60 PIATs, which fails when the run allocates them.
+/// count stays within 8 GiB. The parser bounds each flag alone; a size
+/// made of two counts (windows × window size) is bounded where the run is
+/// sized, by bounded_run_count.
 inline constexpr std::size_t kMaxRunCount = std::size_t{1} << 30;
+
+/// a × b, the size of a run made of two counts. Throws
+/// std::invalid_argument naming both factors when the product wraps or
+/// exceeds kMaxRunCount, so `--windows 1073741824 --n 1073741824` is
+/// refused by name before anything is allocated.
+[[nodiscard]] std::size_t bounded_run_count(std::size_t a,
+                                            const std::string& a_name,
+                                            std::size_t b,
+                                            const std::string& b_name);
 
 /// Bound of a worker-thread count (--threads): a pool starts that many OS
 /// threads at once.

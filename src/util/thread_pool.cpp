@@ -65,6 +65,10 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
     }
     task();
+    // Release what the task captured before it counts as done: a waiter
+    // returning from wait_idle must not race this thread's destructors
+    // (e.g. the last reference to an exception the waiter is handling).
+    task = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/check.hpp"
 
 namespace linkpad::core {
@@ -116,6 +119,28 @@ TEST(Experiment, InvalidSpecRejected) {
   auto spec = quick_spec(classify::FeatureKind::kSampleVariance);
   spec.plan.train_windows = 1;
   EXPECT_THROW(run_experiment(spec), linkpad::ContractViolation);
+}
+
+TEST(Experiment, CaptureSizesPastTheRunBoundAreRefusedByName) {
+  // 2^30 windows of 2^30 PIATs: refused before anything is allocated, with
+  // both factors named.
+  auto spec = quick_spec(classify::FeatureKind::kSampleVariance);
+  spec.plan.adversary.window_size = std::size_t{1} << 30;
+  spec.plan.train_windows = std::size_t{1} << 30;
+  try {
+    (void)run_experiment(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("train_windows"), std::string::npos) << message;
+    EXPECT_NE(message.find("window size n"), std::string::npos) << message;
+    EXPECT_NE(message.find("1073741824 x 1073741824"), std::string::npos)
+        << message;
+  }
+  // A product that wraps 64 bits is refused the same way.
+  spec = quick_spec(classify::FeatureKind::kSampleVariance);
+  spec.plan.test_windows = std::size_t{1} << 60;
+  EXPECT_THROW((void)run_experiment(spec), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace linkpad::core {
 namespace {
@@ -168,6 +169,22 @@ TEST(FigureSeries, CurveLookupByNameThrowsOnMiss) {
   const auto fig = fig5b_n99_vs_sigma(FigureOptions{});
   EXPECT_NO_THROW((void)fig.curve("sample variance"));
   EXPECT_THROW((void)fig.curve("nonexistent"), std::invalid_argument);
+}
+
+TEST(FigureOptions, EffortOutsideItsRangeIsRefusedByName) {
+  // Negative, zero, NaN and huge efforts would wrap the window counts to
+  // about 2^64; each must be refused with an error that names the effort.
+  for (const double effort : {-1.0, 0.0, std::nan(""), 1e30}) {
+    FigureOptions options;
+    options.effort = effort;
+    try {
+      (void)fig4b_detection_vs_n(options);
+      ADD_FAILURE() << "effort " << effort << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("effort"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(SharedHelper, DetectionRatesOnScenarioOrdersFeatures) {

@@ -469,6 +469,39 @@ TEST(TestbedReference, EqualTimesRunInSchedulingOrder) {
   expect_same_pulls(config, 77, {1, 40, 200});
 }
 
+TEST(TestbedReference, AlternatingPullsEqualOneBigPull) {
+  // The tap buffer drops its consumed prefix after every collect. Pulls of
+  // 1 and 8192 PIATs in turn, past 2 × 65,536 arrivals, must concatenate
+  // to one big pull bit for bit, on the concrete loop and the generic one.
+  std::vector<std::size_t> pulls;
+  std::size_t total = 0;
+  while (total <= 2 * 65536) {
+    pulls.insert(pulls.end(), {1, 8192});
+    total += 8193;
+  }
+  for (int policy : {0, 1}) {
+    for (int hops : {0, 1}) {
+      TestbedConfig config;
+      config.policy = grid_policy(policy);
+      config.payload_rate = 40.0;
+      config.hops_before_tap = grid_hops(hops);
+      SCOPED_TRACE(std::string(policy_label(policy)) + " " +
+                   hops_label(hops));
+      util::Xoshiro256pp rng_pulled(57);
+      util::Xoshiro256pp rng_big(57);
+      Testbed pulled(config, rng_pulled);
+      Testbed big(config, rng_big);
+      std::vector<Seconds> got;
+      for (const std::size_t pull : pulls) {
+        ASSERT_EQ(pulled.collect_piats(pull, got), pull);
+      }
+      std::vector<Seconds> want;
+      ASSERT_EQ(big.collect_piats(total, want), total);
+      EXPECT_EQ(piat_words(got), piat_words(want));
+    }
+  }
+}
+
 TEST(TestbedReference, OverflowingQueueDropsAlike) {
   // Payload at four times the timer rate fills the gateway's 4096-packet
   // queue within seconds; from then on every other arrival is dropped.

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -363,6 +364,25 @@ TEST(ArgParserFuzz, TypedTokensParseOrFailByName) {
   // Both outcomes must be common, or the tokens test nothing.
   EXPECT_GT(accepted, 1000u);
   EXPECT_GT(refused, 1000u);
+}
+
+TEST(BoundedRunCount, ProductsPastTheBoundAreRefusedNamingBothFactors) {
+  EXPECT_EQ(bounded_run_count(1000, "--windows", 3000, "--n"), 3000000u);
+  EXPECT_EQ(bounded_run_count(1, "--windows", kMaxRunCount, "--n"),
+            kMaxRunCount);
+  for (const auto& [a, b] :
+       {std::pair<std::size_t, std::size_t>{kMaxRunCount, 2},
+        {kMaxRunCount, kMaxRunCount},
+        {std::size_t{1} << 40, std::size_t{1} << 40}}) {
+    try {
+      (void)bounded_run_count(a, "--windows", b, "--n");
+      ADD_FAILURE() << a << " x " << b << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "--windows x --n = " + std::to_string(a) + " x " +
+                    std::to_string(b) + " exceeds the bound 1073741824");
+    }
+  }
 }
 
 }  // namespace

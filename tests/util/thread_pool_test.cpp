@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -20,6 +21,18 @@ TEST(ThreadPool, ExecutesSubmittedTasks) {
   }
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 64);
+}
+
+TEST(ThreadPool, TaskCapturesAreReleasedBeforeWaitIdleReturns) {
+  // A waiter must not race the worker's destructors: once wait_idle
+  // returns, nothing the task captured is still held by the pool.
+  ThreadPool pool(2);
+  for (int round = 0; round < 200; ++round) {
+    auto token = std::make_shared<int>(round);
+    pool.submit([token] { EXPECT_GE(*token, 0); });
+    pool.wait_idle();
+    EXPECT_EQ(token.use_count(), 1) << "round " << round;
+  }
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
