@@ -22,12 +22,10 @@ int main(int argc, char** argv) try {
   if (!args.parse(argc, argv)) return 1;
   const auto opts = bench::figure_options(args);
 
-  const std::size_t train_piats = std::max<std::size_t>(
-      2000, static_cast<std::size_t>(20000 * opts.effort));
-  const std::size_t test_piats = std::max<std::size_t>(
-      2000, static_cast<std::size_t>(20000 * opts.effort));
-  const std::size_t trials = std::max<std::size_t>(
-      50, static_cast<std::size_t>(300 * opts.effort));
+  const std::size_t train_piats = core::scaled(20000, opts.effort, 2000);
+  const std::size_t test_piats = core::scaled(20000, opts.effort, 2000);
+  const std::size_t trials = core::scaled(300, opts.effort, 50);
+  const core::ExperimentEngine engine;
 
   util::TextTable table({"sigma_T (us)", "scheme", "threshold (5% FAR)",
                          "detected", "n @ detection", "false alarms"});
@@ -41,11 +39,11 @@ int main(int argc, char** argv) try {
     spec.seed = core::derive_point_seed(opts.seed, s);
 
     const std::vector<std::vector<double>> train = {
-        core::generate_class_stream(spec, 0, train_piats, 1),
-        core::generate_class_stream(spec, 1, train_piats, 1)};
+        engine.class_stream(spec, 0, train_piats, 1),
+        engine.class_stream(spec, 1, train_piats, 1)};
     const std::vector<std::vector<double>> test = {
-        core::generate_class_stream(spec, 0, test_piats, 2),
-        core::generate_class_stream(spec, 1, test_piats, 2)};
+        engine.class_stream(spec, 0, test_piats, 2),
+        engine.class_stream(spec, 1, test_piats, 2)};
 
     for (const auto kind :
          {classify::CpdKind::kCusum, classify::CpdKind::kAdaptiveEwma}) {

@@ -24,8 +24,7 @@ int main(int argc, char** argv) try {
   if (!args.parse(argc, argv)) return 1;
   const auto opts = bench::figure_options(args);
 
-  const std::size_t windows = std::max<std::size_t>(
-      12, static_cast<std::size_t>(200 * opts.effort));
+  const std::size_t windows = core::scaled(200, opts.effort, 12);
 
   core::FigureSeries fig;
   fig.title = "Extension: EDF adversary vs scalar features (CIT, zero cross)";
@@ -43,7 +42,8 @@ int main(int argc, char** argv) try {
   for (std::size_t i = 0; i < fig.x.size(); ++i) {
     const auto n = static_cast<std::size_t>(fig.x[i]);
     const std::uint64_t seed = core::derive_point_seed(opts.seed, i);
-    const std::size_t piats = windows * n;
+    const std::size_t piats =
+        util::bounded_run_count(windows, "windows", n, "window size n");
 
     classify::DetectorSpec entropy_spec;
     entropy_spec.adversary.feature = classify::FeatureKind::kSampleEntropy;

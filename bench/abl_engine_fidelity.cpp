@@ -31,16 +31,18 @@ struct EngineRun {
 template <typename Bed>
 EngineRun run_engine(const core::Scenario& scenario, std::size_t n,
                      std::size_t windows, std::uint64_t seed) {
+  const std::size_t piats =
+      util::bounded_run_count(windows, "windows", n, "window size n");
   const util::RngFactory factory(seed);
   std::vector<std::vector<double>> train(2), test(2);
   std::uint64_t events = 0;
   for (std::size_t c = 0; c < 2; ++c) {
     auto rng_train = factory.make(1, c);
     Bed bed_train(scenario.config_for(c), rng_train);
-    train[c] = bed_train.collect_piats(windows * n);
+    train[c] = bed_train.collect_piats(piats);
     auto rng_test = factory.make(2, c);
     Bed bed_test(scenario.config_for(c), rng_test);
-    test[c] = bed_test.collect_piats(windows * n);
+    test[c] = bed_test.collect_piats(piats);
     if constexpr (std::is_same_v<Bed, sim::PacketLevelTestbed>) {
       events += bed_train.events_processed() + bed_test.events_processed();
     } else {
@@ -74,8 +76,7 @@ int main(int argc, char** argv) try {
   const auto opts = bench::figure_options(args);
 
   const std::size_t n = 1000;
-  const std::size_t windows = std::max<std::size_t>(
-      10, static_cast<std::size_t>(60 * opts.effort));
+  const std::size_t windows = core::scaled(60, opts.effort, 10);
 
   util::TextTable table({"engine", "rho", "PIAT mean (ms)", "PIAT std (us)",
                          "r_hat", "entropy detection", "DES events"});

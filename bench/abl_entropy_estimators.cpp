@@ -21,8 +21,7 @@ int main(int argc, char** argv) try {
   if (!args.parse(argc, argv)) return 1;
   const auto opts = bench::figure_options(args);
 
-  const std::size_t windows = std::max<std::size_t>(
-      12, static_cast<std::size_t>(200 * opts.effort));
+  const std::size_t windows = core::scaled(200, opts.effort, 12);
 
   core::FigureSeries fig;
   fig.title = "Ablation: feature robustness vs cross-traffic utilization";

@@ -21,11 +21,10 @@ double attack(classify::DensityKind density, stats::BandwidthRule rule,
   spec.plan.adversary.density = density;
   spec.plan.adversary.bandwidth = rule;
   spec.plan.adversary.fixed_bandwidth = fixed_bw;
-  spec.plan.train_windows =
-      std::max<std::size_t>(12, static_cast<std::size_t>(200 * effort));
+  spec.plan.train_windows = core::scaled(200, effort, 12);
   spec.plan.test_windows = spec.plan.train_windows;
   spec.seed = seed;
-  return core::run_experiment(spec).detection_rate;
+  return core::ExperimentEngine().run(spec).primary().detection_rate;
 }
 
 }  // namespace

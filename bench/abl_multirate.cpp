@@ -16,8 +16,7 @@ int main(int argc, char** argv) try {
   if (!args.parse(argc, argv)) return 1;
   const auto opts = bench::figure_options(args);
 
-  const std::size_t windows = std::max<std::size_t>(
-      12, static_cast<std::size_t>(150 * opts.effort));
+  const std::size_t windows = core::scaled(150, opts.effort, 12);
 
   util::TextTable table({"m classes", "chance", "detection rate", "per-class rates"});
   for (std::size_t m : {2u, 3u, 4u, 6u}) {
@@ -28,16 +27,17 @@ int main(int argc, char** argv) try {
     spec.plan.train_windows = windows;
     spec.plan.test_windows = windows;
     spec.seed = core::derive_point_seed(opts.seed, m);
-    const auto result = core::run_experiment(spec);
+    const auto result = core::ExperimentEngine().run(spec);
 
+    const auto& confusion = result.primary().confusion;
     std::string per_class;
     for (std::size_t c = 0; c < m; ++c) {
       if (c) per_class += " ";
       per_class += util::fmt(
-          result.confusion.per_class_rate(static_cast<ClassLabel>(c)), 2);
+          confusion.per_class_rate(static_cast<ClassLabel>(c)), 2);
     }
     table.add_row({std::to_string(m), util::fmt(1.0 / m, 3),
-                   util::fmt(result.detection_rate, 4), per_class});
+                   util::fmt(result.primary().detection_rate, 4), per_class});
   }
 
   if (args.flag("--csv")) {

@@ -27,11 +27,14 @@ int main(int argc, char** argv) try {
   const auto opts = bench::figure_options(args);
 
   const std::size_t batch = 100;
-  const std::size_t train_windows = std::max<std::size_t>(
-      30, static_cast<std::size_t>(250 * opts.effort));
-  const std::size_t test_windows = std::max<std::size_t>(
-      30, static_cast<std::size_t>(250 * opts.effort));
-  const int trials = std::max(10, static_cast<int>(30 * opts.effort));
+  const std::size_t train_windows = core::scaled(250, opts.effort, 30);
+  const std::size_t test_windows = core::scaled(250, opts.effort, 30);
+  const std::size_t trials = core::scaled(30, opts.effort, 10);
+  const core::ExperimentEngine engine;
+  const std::size_t train_piats = util::bounded_run_count(
+      train_windows, "training windows", batch, "window size");
+  const std::size_t capture = util::bounded_run_count(
+      test_windows, "test windows", batch, "window size");
 
   util::TextTable table({"sigma_T (us)", "r_hat", "SPRT mean PIATs",
                          "SPRT accuracy", "fixed @ SPRT budget",
@@ -48,8 +51,8 @@ int main(int argc, char** argv) try {
     spec.seed = core::derive_point_seed(opts.seed, s);
 
     std::vector<std::vector<double>> train = {
-        core::generate_class_stream(spec, 0, train_windows * batch, 1),
-        core::generate_class_stream(spec, 1, train_windows * batch, 1)};
+        engine.class_stream(spec, 0, train_piats, 1),
+        engine.class_stream(spec, 1, train_piats, 1)};
     classify::Adversary adversary(spec.plan.adversary);
     adversary.train(train);
     const double r_hat = analysis::estimate_variance_ratio(train[0], train[1]);
@@ -66,10 +69,10 @@ int main(int argc, char** argv) try {
 
     double total_piats = 0.0;
     int correct = 0, decided = 0;
-    for (int t = 0; t < trials; ++t) {
-      const std::size_t truth = static_cast<std::size_t>(t % 2);
+    for (std::size_t t = 0; t < trials; ++t) {
+      const std::size_t truth = t % 2;
       const auto stream =
-          core::generate_class_stream(spec, truth, batch * 3000, 10 + t);
+          engine.class_stream(spec, truth, batch * 3000, 10 + t);
       const auto out = detector.decide(stream);
       total_piats += static_cast<double>(out.piats_used);
       if (out.decided) {
@@ -77,18 +80,17 @@ int main(int argc, char** argv) try {
         if (static_cast<std::size_t>(out.decision) == truth) ++correct;
       }
     }
-    const double sprt_budget = total_piats / trials;
+    const double sprt_budget = total_piats / static_cast<double>(trials);
 
     // One checkpointed test pass: detection after the SPRT's average
     // budget (rounded down to whole windows, floored at one window) and
     // after the full capture.
-    const std::size_t capture = test_windows * batch;
     const std::size_t budget = std::min(
         capture,
         std::max(batch, static_cast<std::size_t>(sprt_budget) / batch * batch));
     bank.arm_checkpoints({budget, capture});
     for (std::size_t c = 0; c < 2; ++c) {
-      const auto test = core::generate_class_stream(spec, c, capture, 2);
+      const auto test = engine.class_stream(spec, c, capture, 2);
       bank.consume_test(c, test);
     }
     const double fixed_at_budget =

@@ -19,8 +19,7 @@ int main(int argc, char** argv) try {
   if (!args.parse(argc, argv)) return 1;
   const auto opts = bench::figure_options(args);
 
-  const std::size_t windows = std::max<std::size_t>(
-      12, static_cast<std::size_t>(150 * opts.effort));
+  const std::size_t windows = core::scaled(150, opts.effort, 12);
 
   util::TextTable table(
       {"sigma_T (us)", "n", "r_hat", "measured", "Theorem 2", "CLT law"});
@@ -36,16 +35,16 @@ int main(int argc, char** argv) try {
       spec.plan.train_windows = windows;
       spec.plan.test_windows = windows;
       spec.seed = core::derive_point_seed(opts.seed, salt++);
-      const auto result = core::run_experiment(spec);
+      const auto result = core::ExperimentEngine().run(spec);
 
       table.add_row({util::fmt(sigma_us, 1), std::to_string(n),
-                     util::fmt(result.r_hat, 4),
-                     util::fmt(result.detection_rate, 4),
+                     util::fmt(result.top().r_hat, 4),
+                     util::fmt(result.primary().detection_rate, 4),
                      util::fmt(analysis::detection_rate_variance(
-                                   result.r_hat, static_cast<double>(n)),
+                                   result.top().r_hat, static_cast<double>(n)),
                                4),
                      util::fmt(analysis::detection_rate_variance_clt(
-                                   result.r_hat, static_cast<double>(n)),
+                                   result.top().r_hat, static_cast<double>(n)),
                                4)});
     }
   }

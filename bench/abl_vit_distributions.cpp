@@ -28,11 +28,10 @@ double attack(std::shared_ptr<const sim::TimerPolicy> policy,
   spec.scenario = core::lab_zero_cross(std::move(policy));
   spec.plan.adversary.feature = feature;
   spec.plan.adversary.window_size = 2000;
-  spec.plan.train_windows = std::max<std::size_t>(
-      10, static_cast<std::size_t>(120 * effort));
+  spec.plan.train_windows = core::scaled(120, effort, 10);
   spec.plan.test_windows = spec.plan.train_windows;
   spec.seed = seed;
-  return core::run_experiment(spec).detection_rate;
+  return core::ExperimentEngine().run(spec).primary().detection_rate;
 }
 
 }  // namespace

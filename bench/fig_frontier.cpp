@@ -27,8 +27,7 @@ int main(int argc, char** argv) try {
   spec.scenario = core::lab_zero_cross(core::make_cit());
   spec.policies = core::budget_ladder(budgets);
   spec.plan.adversary.window_size = 400;
-  spec.plan.train_windows = std::max<std::size_t>(
-      4, static_cast<std::size_t>(40.0 * options.effort));
+  spec.plan.train_windows = core::scaled(40, options.effort, 4);
   spec.plan.test_windows = spec.plan.train_windows;
   spec.seed = options.seed;
 

@@ -474,7 +474,7 @@ std::vector<double> run_fig4b_curve(std::size_t windows, bool collapsed,
       single.plan.train_windows = windows * n_max / n;
       single.plan.test_windows = windows * n_max / n;
       const auto result = core::ExperimentEngine().run(single);
-      for (const auto& outcome : result.per_feature) {
+      for (const auto& outcome : result.top().per_feature) {
         rates.push_back(outcome.detection_rate);
       }
     }
@@ -962,8 +962,8 @@ int main(int argc, char** argv) try {
                        sp.quantiles.median == wp.quantiles.median &&
                        sp.quantiles.p95 == wp.quantiles.p95;
       for (std::size_t f = 0; identical && f < serial.flows(); ++f) {
-        identical = serial.per_flow[f].detection_rate ==
-                    wide.per_flow[f].detection_rate;
+        identical = serial.per_flow[f].primary().detection_rate ==
+                    wide.per_flow[f].primary().detection_rate;
       }
       if (!identical) {
         std::fprintf(stderr,

@@ -53,7 +53,9 @@ std::vector<double> detection_over_day(
   const auto report =
       core::SweepRunner(core::sim_backend(), options).run(grid.expand());
   std::vector<double> rates;
-  for (const auto& r : report.results) rates.push_back(r.detection_rate);
+  for (const auto& r : report.results) {
+    rates.push_back(r.primary().detection_rate);
+  }
   return rates;
 }
 

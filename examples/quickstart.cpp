@@ -31,12 +31,13 @@ void attack(const core::Scenario& scenario, std::uint64_t seed) {
     spec.plan.train_windows = 120;
     spec.plan.test_windows = 120;
     spec.seed = seed;
-    const auto result = core::run_experiment(spec);
+    const auto result = core::ExperimentEngine().run(spec);
+    const auto& primary = result.primary();
     std::printf("  %-16s detection rate %5.1f%%  (theory %5.1f%%, r_hat %.3f)\n",
                 classify::feature_name(feature).c_str(),
-                100.0 * result.detection_rate,
-                result.predicted ? 100.0 * *result.predicted : 0.0,
-                result.r_hat);
+                100.0 * primary.detection_rate,
+                primary.predicted ? 100.0 * *primary.predicted : 0.0,
+                result.top().r_hat);
   }
 }
 

@@ -41,7 +41,7 @@ int main(int argc, char** argv) try {
   for (std::size_t c = 0; c < 2; ++c) {
     core::Trace trace;
     trace.description = spec.scenario.name + " class " + names[c];
-    trace.piats = core::generate_class_stream(spec, c, piats, 1);
+    trace.piats = core::ExperimentEngine().class_stream(spec, c, piats, 1);
     core::save_trace_binary(dir + "/" + names[c] + ".lpt", trace);
     core::save_trace_csv(dir + "/" + names[c] + ".csv", trace);
     std::printf("[capture]   %s: %zu PIATs (%s)\n", names[c].c_str(),

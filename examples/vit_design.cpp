@@ -80,8 +80,8 @@ int main(int argc, char** argv) try {
   spec.plan.train_windows = 50;
   spec.plan.test_windows = 50;
   spec.seed = core::derive_point_seed(seed, 1);
-  const auto result = core::run_experiment(spec);
-  for (const auto& outcome : result.per_feature) {
+  const auto result = core::ExperimentEngine().run(spec);
+  for (const auto& outcome : result.top().per_feature) {
     std::printf("    %-16s measured detection %.4f  (target <= %.2f)\n",
                 classify::feature_name(outcome.feature).c_str(),
                 outcome.detection_rate, v_max);

@@ -9,6 +9,15 @@
 
 namespace linkpad::classify {
 
+std::string detector_name(const DetectorSpec& spec) {
+  if (spec.cpd) return spec.cpd->name();
+  if (spec.edf) {
+    return spec.edf == EdfDistance::kKolmogorovSmirnov ? "EDF nearest (KS)"
+                                                       : "EDF nearest (CvM)";
+  }
+  return feature_name(spec.adversary.feature);
+}
+
 // ------------------------------------------------------------------ Detector
 
 Detector::Detector(DetectorSpec spec, std::size_t num_classes)
@@ -60,15 +69,6 @@ Detector& Detector::operator=(const Detector& other) {
   Detector copy(other);
   *this = std::move(copy);
   return *this;
-}
-
-std::string Detector::name() const {
-  if (is_cpd()) return spec_.cpd->name();
-  if (is_edf()) {
-    return spec_.edf == EdfDistance::kKolmogorovSmirnov ? "EDF nearest (KS)"
-                                                        : "EDF nearest (CvM)";
-  }
-  return feature_name(spec_.adversary.feature);
 }
 
 bool Detector::needs_bin_width() const {

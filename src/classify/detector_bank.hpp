@@ -77,6 +77,10 @@ struct DetectorSpec {
   std::optional<CpdConfig> cpd;
 };
 
+/// "sample entropy", "EDF nearest (KS)", "cusum", ...: the name of the
+/// detector `spec` configures.
+[[nodiscard]] std::string detector_name(const DetectorSpec& spec);
+
 /// One streaming detection pipeline: accumulator → features → classifier
 /// (or window → nearest reference EDF). Owned and driven by DetectorBank.
 class Detector {
@@ -95,8 +99,7 @@ class Detector {
   [[nodiscard]] const DetectorSpec& spec() const { return spec_; }
   [[nodiscard]] bool is_edf() const { return spec_.edf.has_value(); }
   [[nodiscard]] bool is_cpd() const { return spec_.cpd.has_value(); }
-  /// "sample entropy", "EDF nearest (KS)", "cusum", ...
-  [[nodiscard]] std::string name() const;
+  [[nodiscard]] std::string name() const { return detector_name(spec_); }
 
   /// True until an entropy detector without an explicit Δh gets one.
   [[nodiscard]] bool needs_bin_width() const;

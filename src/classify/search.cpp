@@ -73,21 +73,11 @@ std::vector<DetectorSpec> DetectorSearchSpace::expand() const {
 }
 
 std::string candidate_label(const DetectorSpec& spec) {
-  // Detector::name() is the display-name seam every table shares; reuse it
-  // by constructing a throwaway detector? No — Detector construction
-  // validates and allocates accumulators. Mirror the naming rule instead.
+  std::string name = detector_name(spec);
   char buf[64];
   if (spec.cpd) {
-    std::snprintf(buf, sizeof(buf), "%s @far=%g", spec.cpd->name().c_str(),
-                  spec.cpd->target_far);
-    return buf;
-  }
-  std::string name;
-  if (spec.edf) {
-    name = spec.edf == EdfDistance::kKolmogorovSmirnov ? "EDF nearest (KS)"
-                                                       : "EDF nearest (CvM)";
-  } else {
-    name = feature_name(spec.adversary.feature);
+    std::snprintf(buf, sizeof(buf), " @far=%g", spec.cpd->target_far);
+    return name + buf;
   }
   std::snprintf(buf, sizeof(buf), " @n=%zu", spec.adversary.window_size);
   name += buf;

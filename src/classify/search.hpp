@@ -55,7 +55,7 @@ struct DetectorSearchSpace {
 
   /// Expand the axes into concrete candidates, in the documented order.
   /// Every candidate is a fully-specified DetectorSpec ready to ride
-  /// AdversaryPlan::extra_detectors.
+  /// AdversaryPlan::detectors.
   [[nodiscard]] std::vector<DetectorSpec> expand() const;
 };
 

@@ -83,13 +83,19 @@ const FeatureOutcome& SampleSizePoint::outcome(
                               classify::feature_name(kind));
 }
 
+const SampleSizePoint& ExperimentResult::top() const {
+  LINKPAD_EXPECTS(!by_sample_size.empty());
+  return by_sample_size.back();
+}
+
+const FeatureOutcome& ExperimentResult::primary() const {
+  LINKPAD_EXPECTS(!top().per_feature.empty());
+  return top().per_feature.front();
+}
+
 const FeatureOutcome& ExperimentResult::outcome(
     classify::FeatureKind kind) const {
-  for (const auto& o : per_feature) {
-    if (o.feature == kind) return o;
-  }
-  throw std::invalid_argument("ExperimentResult: feature not evaluated: " +
-                              classify::feature_name(kind));
+  return top().outcome(kind);
 }
 
 const SampleSizePoint& ExperimentResult::at_sample_size(std::size_t n) const {
@@ -331,39 +337,25 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
     classify::AdversaryConfig adversary = spec.plan.adversary;
     adversary.window_size = p.n;
     // Feature detectors first (detector f == features()[f], the indexing
-    // the result assembly relies on), then the change-point detectors
-    // appended after. Each CPD config gets its calibration seed derived
-    // here — salts 1 and 2 are the training/test streams, so 3 + j can
-    // never collide with a capture stream.
+    // the result assembly relies on). The plan's detectors ride ONLY the
+    // largest-sample-size bank, after them: they do not re-window along
+    // the axis, so smaller points stay exactly what a detector-free run
+    // would compute. Entry j's calibration seed is derived here — salts 1
+    // and 2 are the training/test streams, so 3 + j can never collide
+    // with a capture stream.
     std::vector<classify::DetectorSpec> detector_specs;
-    detector_specs.reserve(features.size() + spec.plan.cpd_detectors.size() +
-                           spec.plan.extra_detectors.size());
     for (const auto kind : features) {
       classify::DetectorSpec ds;
       ds.adversary = adversary;
       ds.adversary.feature = kind;
       detector_specs.push_back(std::move(ds));
     }
-    for (std::size_t j = 0; j < spec.plan.cpd_detectors.size(); ++j) {
-      LINKPAD_EXPECTS(num_classes == 2);
-      classify::DetectorSpec ds;
-      ds.adversary = adversary;
-      ds.cpd = spec.plan.cpd_detectors[j];
-      ds.cpd->calibration_seed = derive_point_seed(spec.seed, 3 + j);
-      detector_specs.push_back(std::move(ds));
-    }
-    // Fully-specified extra detectors (each with its OWN window size /
-    // quantile / EDF / CPD config) ride ONLY the largest-sample-size bank:
-    // they do not re-window along the axis, so smaller points stay exactly
-    // what an extra-detector-free run would compute. Their calibration
-    // seeds continue the 3 + j ladder after the cpd_detectors.
     if (i + 1 == k) {
-      for (std::size_t j = 0; j < spec.plan.extra_detectors.size(); ++j) {
-        classify::DetectorSpec ds = spec.plan.extra_detectors[j];
+      for (std::size_t j = 0; j < spec.plan.detectors.size(); ++j) {
+        classify::DetectorSpec ds = spec.plan.detectors[j];
         if (ds.cpd) {
           LINKPAD_EXPECTS(num_classes == 2);
-          ds.cpd->calibration_seed = derive_point_seed(
-              spec.seed, 3 + spec.plan.cpd_detectors.size() + j);
+          ds.cpd->calibration_seed = derive_point_seed(spec.seed, 3 + j);
         } else {
           // A window detector needs ≥ 2 training windows and ≥ 1 test
           // window of ITS size inside the shared capture budget.
@@ -474,7 +466,7 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   // capture once and run the two passes from memory. The prepass itself
   // pools the classes in class order, so it stays on the calling thread.
   // Any bank may need the pooled-Δh prepass: the banks share a feature set,
-  // but extra detectors ride only the top bank, so probe all of them.
+  // but the plan's detectors ride only the top bank, so probe all of them.
   bool prepass = false;
   for (const auto& bank : banks) prepass = prepass || bank.needs_prepass();
   if (prepass && (!backend_->replayable() || k > 1)) {
@@ -596,21 +588,15 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
       }
       sp.per_feature.push_back(std::move(out));
     }
-    sp.cpd.reserve(spec.plan.cpd_detectors.size());
-    for (std::size_t j = 0; j < spec.plan.cpd_detectors.size(); ++j) {
-      sp.cpd.push_back(
-          banks[i].detector(features.size() + j).cpd_outcome());
-    }
     result.by_sample_size.push_back(std::move(sp));
   }
 
-  // Extra detectors live only in the top (n_max) bank, after the feature
-  // and cpd detectors. attack_score: confusion detection rate for window
+  // The plan's detectors live only in the top (n_max) bank, after the
+  // feature detectors. attack_score: confusion detection rate for window
   // detectors, the chance-floor binary mapping for CPD (see DetectorOutcome).
-  result.per_detector.reserve(spec.plan.extra_detectors.size());
-  for (std::size_t j = 0; j < spec.plan.extra_detectors.size(); ++j) {
-    const classify::Detector& det = banks.back().detector(
-        features.size() + spec.plan.cpd_detectors.size() + j);
+  result.detectors.reserve(spec.plan.detectors.size());
+  for (std::size_t j = 0; j < spec.plan.detectors.size(); ++j) {
+    const classify::Detector& det = banks.back().detector(features.size() + j);
     DetectorOutcome out;
     out.name = det.name();
     if (det.is_cpd()) {
@@ -620,37 +606,9 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
       out.confusion = det.confusion();
       out.attack_score = out.confusion.detection_rate();
     }
-    result.per_detector.push_back(std::move(out));
+    result.detectors.push_back(std::move(out));
   }
-
-  const SampleSizePoint& top_point = result.by_sample_size.back();
-  result.r_hat = top_point.r_hat;
-  result.per_feature = top_point.per_feature;
-  result.cpd = top_point.cpd;
-  const FeatureOutcome& primary = result.per_feature.front();
-  result.detection_rate = primary.detection_rate;
-  result.ci = primary.ci;
-  result.confusion = primary.confusion;
-  result.predicted = primary.predicted;
   return result;
-}
-
-// ----------------------------------------------------------------- legacy
-
-std::vector<double> generate_class_stream(const ExperimentSpec& spec,
-                                          std::size_t class_index,
-                                          std::size_t piats,
-                                          std::uint64_t stream_salt) {
-  return ExperimentEngine().class_stream(spec, class_index, piats, stream_salt);
-}
-
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  return ExperimentEngine().run(spec);
-}
-
-std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentSpec>& specs) {
-  return SweepRunner().run(specs).results;
 }
 
 // -------------------------------------------------------------- SweepRunner

@@ -52,22 +52,17 @@ struct AdversaryPlan {
   /// Further features detected in the same pass (window size / entropy /
   /// density knobs are shared with `adversary`). Duplicates are ignored.
   std::vector<classify::FeatureKind> extra_features;
-  /// Fully-specified extra detectors (their OWN window size, quantile
-  /// backend, EDF distance or CPD config) riding the same capture pass,
-  /// appended after the feature and cpd detectors in the LARGEST-sample-
-  /// size bank only (they do not re-window along a sample_size_axis).
-  /// Results land in ExperimentResult::per_detector, in this order. This
-  /// is the seam the best-response tuner evaluates candidates through. A
-  /// CPD entry's calibration_seed is overwritten by the engine with
-  /// derive_point_seed(seed, 3 + cpd_detectors.size() + j).
-  std::vector<classify::DetectorSpec> extra_detectors;
-  /// Streaming change-point detectors (CUSUM / adaptive-EWMA) riding the
-  /// same capture pass, appended after the feature detectors in every
-  /// bank. Two-class scenarios only. Each config's calibration_seed is
-  /// OVERWRITTEN by the engine with derive_point_seed(seed, 3 + j) for
-  /// detector j, so calibrated thresholds are reproducible per point and
-  /// never collide with the training (salt 1) or test (salt 2) streams.
-  std::vector<classify::CpdConfig> cpd_detectors;
+  /// Fully-specified detectors (each with its OWN window size, quantile
+  /// backend, EDF distance or change-point config) riding the same capture
+  /// pass, after the feature detectors, in the LARGEST-sample-size bank
+  /// only: they do not re-window along a sample_size_axis. Results land in
+  /// ExperimentResult::detectors, in this order. This is the seam the
+  /// best-response tuner evaluates candidates through. Entry j's CPD
+  /// calibration_seed is OVERWRITTEN by the engine with
+  /// derive_point_seed(seed, 3 + j), so calibrated thresholds are
+  /// reproducible per point and never collide with the training (salt 1)
+  /// or test (salt 2) streams. CPD entries need a two-class scenario.
+  std::vector<classify::DetectorSpec> detectors;
   std::size_t train_windows = 300;  ///< per class, at the largest axis entry
   std::size_t test_windows = 300;   ///< per class, at the largest axis entry
 
@@ -132,16 +127,13 @@ struct SampleSizePoint {
   std::size_t test_windows = 0;
   double r_hat = 1.0;                ///< variance ratio over THIS prefix
   std::vector<FeatureOutcome> per_feature;  ///< primary first
-  /// One outcome per spec.plan.cpd_detectors (same order), evaluated over
-  /// this point's prefix of the shared capture.
-  std::vector<classify::CpdOutcome> cpd;
 
   /// Outcome of `kind`; throws if the point did not evaluate it.
   [[nodiscard]] const FeatureOutcome& outcome(classify::FeatureKind kind) const;
 };
 
-/// One extra (fully-specified) detector's verdict, evaluated at the
-/// largest sample size. `attack_score` is the tuner's common currency on
+/// One AdversaryPlan::detectors entry's verdict, evaluated at the largest
+/// sample size. `attack_score` is the tuner's common currency on
 /// [0, 1]: the confusion-matrix detection rate for window (feature / EDF)
 /// detectors, and the conservative chance-floor mapping
 /// `ttd.detected ? 1.0 : 0.5` for change-point detectors — a CPD verdict
@@ -154,30 +146,20 @@ struct DetectorOutcome {
   std::optional<classify::CpdOutcome> cpd;  ///< CPD detectors only
 };
 
-/// Outcome of one experiment. The top-level fields describe the PRIMARY
-/// feature (spec.plan.adversary.feature); `per_feature` carries one outcome per
-/// spec.features(), primary first. `by_sample_size` carries one point per
-/// spec.sample_sizes() (ascending n); the top-level fields mirror the
-/// LARGEST sample size — the point whose capture the axis shares.
+/// Outcome of one experiment. `by_sample_size` carries one point per
+/// spec.sample_sizes() (ascending n), each with one outcome per
+/// spec.features(), primary first; top() is the LARGEST sample size — the
+/// point whose capture the axis shares — and primary() its primary
+/// feature (spec.plan.adversary.feature).
 struct ExperimentResult {
-  double detection_rate = 0.5;          ///< empirical, eq. (7)
-  stats::BootstrapResult ci{};          ///< Wilson interval on the rate
-  classify::ConfusionMatrix confusion{2};
-  double r_hat = 1.0;                   ///< measured variance ratio (2-class)
-  std::optional<double> predicted;      ///< Theorems 1–3 at r_hat (2-class)
   double piat_mean_low = 0.0;           ///< padded PIAT means (sanity: equal)
   double piat_mean_high = 0.0;
   double piat_var_low = 0.0;            ///< padded PIAT variances
   double piat_var_high = 0.0;
-  std::vector<FeatureOutcome> per_feature;
-  /// One outcome per spec.plan.cpd_detectors (same order), at the largest
-  /// sample size — scheme, calibrated threshold, time-to-detection.
-  std::vector<classify::CpdOutcome> cpd;
-  /// One outcome per spec.plan.extra_detectors (same order). Extra
-  /// detectors ride only the largest-sample-size bank, so there is no
-  /// per-SampleSizePoint mirror of this field.
-  std::vector<DetectorOutcome> per_detector;
   std::vector<SampleSizePoint> by_sample_size;
+  /// One outcome per spec.plan.detectors (same order), at the largest
+  /// sample size.
+  std::vector<DetectorOutcome> detectors;
   /// Padding-cost accounting of the run-time (test) capture, one entry per
   /// class in class order — empty when the backend cannot account (live).
   std::vector<StreamOverhead> overhead_per_class;
@@ -192,6 +174,11 @@ struct ExperimentResult {
   /// Worst per-class p95 payload queueing delay — the QoS half of the
   /// overhead/detectability frontier.
   [[nodiscard]] std::optional<Seconds> worst_delay_p95() const;
+
+  /// The largest sample-size point; the result must hold one.
+  [[nodiscard]] const SampleSizePoint& top() const;
+  /// The primary feature's outcome at top().
+  [[nodiscard]] const FeatureOutcome& primary() const;
 
   /// Outcome of `kind` at the largest sample size; throws if the
   /// experiment did not evaluate it.
@@ -250,18 +237,6 @@ class ExperimentEngine {
   std::size_t batch_piats_;
   util::ThreadPool* pool_;
 };
-
-/// Run one experiment on the default simulated backend.
-ExperimentResult run_experiment(const ExperimentSpec& spec);
-
-/// Run many experiments concurrently (order of results == order of specs).
-std::vector<ExperimentResult> run_sweep(const std::vector<ExperimentSpec>& specs);
-
-/// Generate one class's PIAT stream for a spec (exposed for examples/tests).
-std::vector<double> generate_class_stream(const ExperimentSpec& spec,
-                                          std::size_t class_index,
-                                          std::size_t piats,
-                                          std::uint64_t stream_salt);
 
 // ------------------------------------------------------------------ sweeps
 
@@ -374,16 +349,15 @@ struct SweepGrid {
   std::vector<std::size_t> tap_hops;
   /// The adversary half, copied into every expanded spec: all of
   /// plan.features() are evaluated per point in one stream pass, and the
-  /// plan's cpd/extra detectors ride the same pass (like the feature axis,
-  /// NOT expanded into separate points). plan.adversary.window_size is the
+  /// plan's detectors ride the same pass (like the feature axis, NOT
+  /// expanded into separate points). plan.adversary.window_size is the
   /// single window size when `sample_sizes` is empty; otherwise the axis
   /// overrides it per spec.
   AdversaryPlan plan = {
       .adversary = {.feature = classify::FeatureKind::kSampleVariance,
                     .window_size = 1000},
       .extra_features = {},
-      .extra_detectors = {},
-      .cpd_detectors = {},
+      .detectors = {},
       .train_windows = 150,
       .test_windows = 150};
   std::uint64_t seed = 20030324;

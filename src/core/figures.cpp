@@ -23,26 +23,22 @@ const Curve& FigureSeries::curve(const std::string& name) const {
   throw std::invalid_argument("FigureSeries: no curve named '" + name + "'");
 }
 
-namespace {
-
-/// `base` scaled by FigureOptions::effort (at least 8). An effort that is
-/// not finite and positive, or that scales `base` past
-/// util::kMaxRunCount, is refused by name instead of wrapping to ~2^64.
-std::size_t scaled(std::size_t base, double effort) {
+std::size_t scaled(std::size_t base, double effort, std::size_t at_least) {
   std::ostringstream msg;
-  msg << "figure effort " << effort;
+  msg << "effort " << effort;
   if (!std::isfinite(effort) || effort <= 0.0) {
     msg << " is not a finite number > 0";
     throw std::invalid_argument(msg.str());
   }
   const double count = std::round(static_cast<double>(base) * effort);
   if (count > static_cast<double>(util::kMaxRunCount)) {
-    msg << " scales " << base << " windows past the bound "
-        << util::kMaxRunCount;
+    msg << " scales " << base << " past the bound " << util::kMaxRunCount;
     throw std::invalid_argument(msg.str());
   }
-  return std::max<std::size_t>(8, static_cast<std::size_t>(count));
+  return std::max(at_least, static_cast<std::size_t>(count));
 }
+
+namespace {
 
 const ExperimentBackend& backend_of(const FigureOptions& options) {
   return options.backend ? *options.backend : sim_backend();

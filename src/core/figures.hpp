@@ -34,6 +34,13 @@ struct FigureOptions {
   std::shared_ptr<const ExperimentBackend> backend;
 };
 
+/// `base` scaled by an effort multiplier (FigureOptions::effort, or a
+/// bench driver's --effort) and rounded, at least `at_least`. An effort
+/// that is not finite and > 0, or that scales `base` past
+/// util::kMaxRunCount, is refused by name instead of wrapping to ~2^64.
+[[nodiscard]] std::size_t scaled(std::size_t base, double effort,
+                                 std::size_t at_least = 8);
+
 /// One named curve y(x) in a detection figure.
 struct Curve {
   std::string name;

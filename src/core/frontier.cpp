@@ -76,7 +76,7 @@ FrontierResult run_frontier(const FrontierSpec& spec,
     FrontierPoint point;
     point.policy = spec.policies[i]->name();
     point.result = report.results[i];
-    for (const auto& outcome : point.result.per_feature) {
+    for (const auto& outcome : point.result.top().per_feature) {
       point.detection_rate =
           std::max(point.detection_rate, outcome.detection_rate);
     }

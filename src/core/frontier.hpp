@@ -34,8 +34,7 @@ struct FrontierSpec {
       .adversary = {.feature = classify::FeatureKind::kSampleMean,
                     .window_size = 400},
       .extra_features = {classify::FeatureKind::kSampleVariance},
-      .extra_detectors = {},
-      .cpd_detectors = {},
+      .detectors = {},
       .train_windows = 40,
       .test_windows = 40};
   std::uint64_t seed = 20030324;

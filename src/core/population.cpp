@@ -143,14 +143,17 @@ void validate_spec(const PopulationSpec& spec) {
   } else {
     LINKPAD_EXPECTS(spec.sample_round == 0);
   }
-  // No population aggregate reads extra detectors and shard files do not
-  // carry their outcomes, so a campaign that attached one would lose it
-  // at the first shard merge.
-  if (!spec.experiment.plan.extra_detectors.empty()) {
-    throw std::invalid_argument(
-        "PopulationSpec: experiment.plan.extra_detectors is not supported — "
-        "no population aggregate reads them and shard files do not carry "
-        "them");
+  // The population CPD column aggregates change-point detectors; no
+  // aggregate reads a window or EDF detector's verdict, so a campaign that
+  // attached one would lose it at the first shard merge.
+  for (const auto& detector : spec.experiment.plan.detectors) {
+    if (!detector.cpd) {
+      throw std::invalid_argument(
+          "PopulationSpec: experiment.plan.detectors entry '" +
+          classify::detector_name(detector) +
+          "' is not supported — population campaigns aggregate change-point "
+          "detectors only");
+    }
   }
 }
 
@@ -194,11 +197,11 @@ std::vector<ChunkAggregate> PopulationEngine::run_chunks(
   // flow_spec(f) stays the contract: it resolves to exactly this spec.
   const Scenario loaded = spec.loaded_scenario();
   const auto ns = spec.experiment.sample_sizes();
-  const std::size_t n_cpd = spec.experiment.plan.cpd_detectors.size();
+  const std::size_t n_cpd = spec.experiment.plan.detectors.size();
   std::vector<classify::CpdKind> cpd_kinds;
   cpd_kinds.reserve(n_cpd);
-  for (const auto& config : spec.experiment.plan.cpd_detectors) {
-    cpd_kinds.push_back(config.kind);
+  for (const auto& detector : spec.experiment.plan.detectors) {
+    cpd_kinds.push_back(detector.cpd->kind);
   }
   const ExperimentEngine engine(*backend_, options_.batch_piats);
 
@@ -245,13 +248,13 @@ std::vector<ChunkAggregate> PopulationEngine::run_chunks(
           flow_spec.seed = derive_point_seed(spec.seed, flow_id);
           ExperimentResult result = engine.run(flow_spec);
           LINKPAD_ENSURES(result.by_sample_size.size() == ns.size());
-          LINKPAD_ENSURES(result.cpd.size() == n_cpd);
+          LINKPAD_ENSURES(result.detectors.size() == n_cpd);
           for (std::size_t i = 0; i < ns.size(); ++i) {
             chunk.rates[i].push_back(
                 result.by_sample_size[i].per_feature.front().detection_rate);
           }
           for (std::size_t j = 0; j < n_cpd; ++j) {
-            const classify::CpdOutcome& out = result.cpd[j];
+            const classify::CpdOutcome& out = *result.detectors[j].cpd;
             chunk.cpd[j].push_back({out.ttd.detected, out.ttd.n_at_detection,
                                     out.ttd.false_alarms, out.threshold});
           }

@@ -328,7 +328,7 @@ struct PopulationResult {
   std::vector<ExperimentResult> per_flow;
   std::vector<PopulationPoint> by_sample_size;
   /// One aggregate per configured change-point detector
-  /// (PopulationSpec::experiment.cpd_detectors order); empty without CPD.
+  /// (PopulationSpec::experiment.plan.detectors order); empty without CPD.
   std::vector<CpdPopulationPoint> cpd;
 
   /// Smallest axis sample size at which ANY flow crosses the detection

@@ -38,7 +38,7 @@ namespace {
 /// alone. The engine requires a primary feature detector, so a sample-mean
 /// probe at the candidate's own window size rides along (cheapest
 /// accumulator; its verdict is never read) while the candidate itself
-/// rides extra_detectors and its DetectorOutcome::attack_score is the only
+/// rides plan.detectors and its DetectorOutcome::attack_score is the only
 /// number the tuner consumes. Matching the probe window to the candidate
 /// sizes the capture exactly: train/test limits scale with the candidate's
 /// window, so small-window candidates are not charged for large-window
@@ -52,10 +52,9 @@ ExperimentSpec candidate_spec(const Scenario& scenario,
   spec.scenario = scenario;
   spec.plan = plan;
   spec.plan.extra_features.clear();
-  spec.plan.cpd_detectors.clear();
   spec.plan.adversary = candidate.adversary;
   spec.plan.adversary.feature = classify::FeatureKind::kSampleMean;
-  spec.plan.extra_detectors = {candidate};
+  spec.plan.detectors = {candidate};
   spec.plan.train_windows = train_windows;
   spec.plan.test_windows = test_windows;
   spec.seed = seed;
@@ -217,7 +216,7 @@ TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
     LINKPAD_ENSURES(report.all_completed());
     std::vector<double> scores(survivors.size());
     for (std::size_t i = 0; i < survivors.size(); ++i) {
-      scores[i] = report.results[i].per_detector.at(0).attack_score;
+      scores[i] = report.results[i].detectors.at(0).attack_score;
     }
     result.rounds += 1;
     result.evaluations += survivors.size();
@@ -322,7 +321,7 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
   const auto report = SweepRunner(backend, std::move(options))
                           .run(count, [&](std::size_t i) {
                             ExperimentSpec point = spec.frontier.point_spec(i);
-                            point.plan.extra_detectors.push_back(
+                            point.plan.detectors.push_back(
                                 tuned[i].winner_spec);
                             return point;
                           });
@@ -334,7 +333,7 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
     const ExperimentResult& scored = report.results[i];
     RobustFrontierPoint point;
     point.policy = spec.frontier.policies[i]->name();
-    for (const auto& outcome : scored.per_feature) {
+    for (const auto& outcome : scored.top().per_feature) {
       point.fixed_detection =
           std::max(point.fixed_detection, outcome.detection_rate);
     }
@@ -342,7 +341,7 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
     // best of the fixed features AND the tuned detector, so the tuned
     // column is ≥ the fixed column by construction.
     point.tuned_detection = std::max(
-        point.fixed_detection, scored.per_detector.back().attack_score);
+        point.fixed_detection, scored.detectors.back().attack_score);
     if (!scored.mean_padding_bps().has_value()) {
       throw std::invalid_argument(
           "run_robust_frontier: backend '" + backend.name() +

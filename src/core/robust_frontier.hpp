@@ -77,7 +77,7 @@ struct TuneResult {
 
 /// Tune the attacker: find the candidate in `space` with the highest
 /// attack score against `scenario`. Every candidate is evaluated as
-/// `plan` with the candidate riding AdversaryPlan::extra_detectors on the
+/// `plan` with the candidate riding AdversaryPlan::detectors on the
 /// SAME scenario and seed (identical captures — the comparison is fair,
 /// and a doubled budget extends the same stream by the prefix property,
 /// it never re-rolls it). Successive halving: rounds double the window

@@ -91,7 +91,6 @@ void fields(V& v, T& p) {
   v("test", p.test_windows);
   v("r_hat", p.r_hat);
   v("per_feature", p.per_feature);
-  v("cpd", p.cpd);
 }
 
 template <class V, Is<StreamOverhead> T>
@@ -108,20 +107,20 @@ void fields(V& v, T& o) {
   v("delay_p99", o.delay_p99);
 }
 
-// per_detector is not on the wire: population campaigns refuse extra
-// detectors (validate_spec), so no shard ever carries one.
+template <class V, Is<DetectorOutcome> T>
+void fields(V& v, T& d) {
+  v("name", d.name);
+  v("score", d.attack_score);
+  v("confusion", d.confusion);
+  v("cpd", d.cpd);
+}
+
 template <class V, Is<ExperimentResult> T>
 void fields(V& v, T& r) {
-  v("rate", r.detection_rate);
-  v("ci", r.ci);
-  v("confusion", r.confusion);
-  v("r_hat", r.r_hat);
-  v("predicted", r.predicted);
   v("piat", std::tie(r.piat_mean_low, r.piat_mean_high, r.piat_var_low,
                      r.piat_var_high));
-  v("per_feature", r.per_feature);
-  v("cpd", r.cpd);
   v("by_sample_size", r.by_sample_size);
+  v("detectors", r.detectors);
   v("overhead_per_class", r.overhead_per_class);
 }
 
@@ -730,7 +729,7 @@ std::string population_result_json(const PopulationResult& result) {
     out.push_back('[');
     for (std::size_t i = 0; i < result.per_flow.size(); ++i) {
       if (i != 0) out.push_back(',');
-      wire::append_hex(out, result.per_flow[i].detection_rate);
+      wire::append_hex(out, result.per_flow[i].primary().detection_rate);
     }
     out.push_back(']');
   }

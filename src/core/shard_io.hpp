@@ -42,8 +42,11 @@ namespace linkpad::core {
 /// versions instead of guessing. v2 added the sampled-subset fields
 /// (sample_flows, sample_round) to the header; v3 added the change-point
 /// fields to chunk lines (cpd_kinds + per-flow FlowCpd rows) and the `cpd`
-/// array to serialized ExperimentResults / SampleSizePoints.
-inline constexpr std::uint64_t kShardFormatVersion = 3;
+/// array to serialized ExperimentResults / SampleSizePoints; v4 dropped
+/// ExperimentResult's copies of its top point (rate, ci, confusion, r_hat,
+/// predicted, per_feature, cpd) and SampleSizePoint's `cpd`, and added the
+/// result's `detectors` column.
+inline constexpr std::uint64_t kShardFormatVersion = 4;
 
 // ------------------------------------------------------------- shard model
 

@@ -105,10 +105,7 @@ class PaddingGateway final : public PacketSink, public TimerTask {
   /// The interrupt routine at designed fire time `now`: emit the
   /// head-of-queue payload, a dummy, or nothing; then draw the next
   /// designed fire, pushed past the emit time if the interrupt ran late.
-  /// `Policy` is the policy's concrete type when the caller knows it
-  /// (sim::Testbed's CBR × CIT loop), so its calls inline; the default
-  /// goes through TimerPolicy's virtual interface.
-  template <typename Policy = TimerPolicy>
+  /// Defined below, in the header, so sim::Testbed's loop inlines it.
   GatewayFire fire(Seconds now);
 
   /// Arm the timer on the Simulation (arm() at its current time).
@@ -149,9 +146,8 @@ class PaddingGateway final : public PacketSink, public TimerTask {
   GatewayStats stats_;
 };
 
-template <typename Policy>
-GatewayFire PaddingGateway::fire(Seconds now) {
-  Policy& policy = static_cast<Policy&>(*policy_);
+inline GatewayFire PaddingGateway::fire(Seconds now) {
+  TimerPolicy& policy = *policy_;
   ++stats_.timer_fires;
 
   // The interrupt routine runs after a random scheduling delay; payload

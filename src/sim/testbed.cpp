@@ -40,21 +40,12 @@ Testbed::Testbed(const TestbedConfig& config, util::Rng& rng,
       path_(config.hops_before_tap, config.wire_bytes),
       gateway_(clone_policy(config), config.jitter, rng, config.wire_bytes,
                PaddingGateway::kDefaultQueueCapacity, sketches),
-      source_(make_payload_source(config)),
-      run_until_(&Testbed::run_until<TrafficSource, TimerPolicy>) {
+      source_(make_payload_source(config)) {
   LINKPAD_EXPECTS(config.payload_rate > 0.0);
-  // Both classes are final, so a loop on them inlines their calls.
-  if (dynamic_cast<const CbrSource*>(source_.get()) != nullptr &&
-      dynamic_cast<const ConstantIntervalTimer*>(&gateway_.policy()) !=
-          nullptr) {
-    loop_ = TestbedLoop::kCbrCit;
-    run_until_ = &Testbed::run_until<CbrSource, ConstantIntervalTimer>;
-  }
 }
 
-template <typename Source, typename Policy>
 void Testbed::run_until(Seconds t_end) {
-  Source& source = static_cast<Source&>(*source_);
+  TrafficSource& source = *source_;
   enum class Next { kArrival, kFire, kEmission };
   for (;;) {
     Next next = Next::kArrival;
@@ -77,7 +68,7 @@ void Testbed::run_until(Seconds t_end) {
         arrival_ = {source.next_arrival(now, rng_), next_seq_++};
         break;
       case Next::kFire: {
-        const GatewayFire fired = gateway_.fire<Policy>(now);
+        const GatewayFire fired = gateway_.fire(now);
         if (fired.emits) {
           // The fire pushed the previous next-fire past the previous
           // emission, so that emission has already run.
@@ -123,7 +114,7 @@ std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out)
       static_cast<Seconds>(count + config_.warmup_piats + 2) *
       config_.policy->mean_interval();
   while (tap_arrivals_.size() < target) {
-    (this->*run_until_)(clock_.now_ + slab);
+    run_until(clock_.now_ + slab);
   }
 
   for (std::size_t i = cursor_; i < target; ++i) {

@@ -47,16 +47,6 @@ struct TestbedConfig {
 [[nodiscard]] std::unique_ptr<TrafficSource> make_payload_source(
     const TestbedConfig& config);
 
-/// Which instantiation of Testbed's event loop a testbed runs. The loop
-/// body is one template over the (payload source, timer policy) types. CBR
-/// payload with a CIT timer, the pair of the Fig 4 captures and of every
-/// campaign flow, gets an instantiation on its concrete types; every other
-/// pair runs it on the base types.
-enum class TestbedLoop : unsigned char {
-  kGeneric,  ///< TrafficSource × TimerPolicy, through virtual calls
-  kCbrCit,   ///< CbrSource × ConstantIntervalTimer
-};
-
 /// One assembled, runnable instance of the system under test.
 ///
 /// The testbed runs its own event loop instead of a sim::Simulation. It can
@@ -66,8 +56,7 @@ enum class TestbedLoop : unsigned char {
 /// slot for each and calls the gateway, the source and the path directly.
 /// Events run in (time, sequence) order exactly as on a Simulation, with
 /// sequence numbers taken at the same points, so every draw from the
-/// shared RNG happens in the same order (DESIGN.md §2.1). The loop is
-/// picked once per testbed from the source and policy types (TestbedLoop).
+/// shared RNG happens in the same order (DESIGN.md §2.1).
 class Testbed {
  public:
   /// Virtual clock and event counter of the testbed's loop, read the same
@@ -106,8 +95,6 @@ class Testbed {
   }
   [[nodiscard]] const Clock& simulation() const { return clock_; }
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
-  /// The loop instantiation this testbed's source and policy types picked.
-  [[nodiscard]] TestbedLoop loop() const { return loop_; }
 
   /// MEASURED on-wire bandwidth so far: emitted wire bytes (payload +
   /// padding) over elapsed sim time. Tracks padded_wire_rate_bps for the
@@ -129,9 +116,6 @@ class Testbed {
 
   /// Run every event at or before `t_end` in (t, seq) order, then leave
   /// the clock at `t_end` — sim::Simulation::run_until's slab semantics.
-  /// `Source` and `Policy` are the types the loop calls the payload source
-  /// and the gateway's policy through.
-  template <typename Source, typename Policy>
   void run_until(Seconds t_end);
 
   TestbedConfig config_;
@@ -139,8 +123,6 @@ class Testbed {
   PathModel path_;
   PaddingGateway gateway_;
   std::unique_ptr<TrafficSource> source_;
-  TestbedLoop loop_ = TestbedLoop::kGeneric;
-  void (Testbed::*run_until_)(Seconds) = nullptr;
   Clock clock_;
   std::uint64_t next_seq_ = 0;
   Slot arrival_;

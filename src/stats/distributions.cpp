@@ -1,7 +1,6 @@
 #include "stats/distributions.hpp"
 
 #include <array>
-#include <atomic>
 #include <cmath>
 
 #include "stats/special_math.hpp"
@@ -11,8 +10,6 @@ namespace linkpad::stats {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
-
-std::atomic<bool> g_ziggurat{false};
 
 // ------------------------------------------------------------- Ziggurat --
 //
@@ -86,12 +83,6 @@ double normal_tail(Rng& rng, double r) {
 
 }  // namespace
 
-void set_ziggurat_sampling(bool enabled) {
-  g_ziggurat.store(enabled, std::memory_order_relaxed);
-}
-
-bool ziggurat_sampling() { return g_ziggurat.load(std::memory_order_relaxed); }
-
 double sample_standard_normal_ziggurat(Rng& rng) {
   const ZigTables& t = normal_zig();
   for (;;) {
@@ -130,7 +121,6 @@ double sample_standard_exponential_ziggurat(Rng& rng) {
 }
 
 double sample_standard_normal(Rng& rng) {
-  if (ziggurat_sampling()) return sample_standard_normal_ziggurat(rng);
   // Marsaglia polar method; we deliberately do not cache the second deviate
   // so that the distribution objects stay stateless/shareable.
   for (;;) {
@@ -257,9 +247,6 @@ double Exponential::cdf(double x) const {
 }
 
 double Exponential::sample(Rng& rng) const {
-  if (ziggurat_sampling()) {
-    return mean_ * sample_standard_exponential_ziggurat(rng);
-  }
   // Inversion: -mean * log(1 - U) with U in [0,1) never takes log(0).
   return -mean_ * std::log1p(-rng.uniform01());
 }

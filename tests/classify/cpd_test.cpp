@@ -404,34 +404,31 @@ core::ExperimentSpec engine_spec() {
   spec.plan.train_windows = 20;
   spec.plan.test_windows = 20;
   for (const auto kind : {CpdKind::kCusum, CpdKind::kAdaptiveEwma}) {
-    CpdConfig config;
-    config.kind = kind;
-    config.target_far = 0.05;
-    config.horizon = 400;
-    config.trials = 40;
-    spec.plan.cpd_detectors.push_back(config);
+    DetectorSpec detector;
+    detector.cpd.emplace();
+    detector.cpd->kind = kind;
+    detector.cpd->target_far = 0.05;
+    detector.cpd->horizon = 400;
+    detector.cpd->trials = 40;
+    spec.plan.detectors.push_back(detector);
   }
   return spec;
 }
 
 TEST(CpdEngine, ExperimentResultCarriesOutcomes) {
-  const auto result = core::run_experiment(engine_spec());
-  ASSERT_EQ(result.cpd.size(), 2u);
-  EXPECT_EQ(result.cpd[0].kind, CpdKind::kCusum);
-  EXPECT_EQ(result.cpd[1].kind, CpdKind::kAdaptiveEwma);
-  EXPECT_GT(result.cpd[0].threshold, 0.0);
-  ASSERT_FALSE(result.by_sample_size.empty());
-  for (const auto& point : result.by_sample_size) {
-    ASSERT_EQ(point.cpd.size(), 2u);
-  }
-  // The top-level outcomes mirror the largest sample-size point.
-  expect_same_outcome(result.cpd[0], result.by_sample_size.back().cpd[0],
-                      "top mirror");
+  const auto result = core::ExperimentEngine().run(engine_spec());
+  ASSERT_EQ(result.detectors.size(), 2u);
+  ASSERT_TRUE(result.detectors[0].cpd.has_value());
+  ASSERT_TRUE(result.detectors[1].cpd.has_value());
+  EXPECT_EQ(result.detectors[0].cpd->kind, CpdKind::kCusum);
+  EXPECT_EQ(result.detectors[1].cpd->kind, CpdKind::kAdaptiveEwma);
+  EXPECT_GT(result.detectors[0].cpd->threshold, 0.0);
 
   // Re-running the identical spec is bit-identical (calibration included).
-  const auto again = core::run_experiment(engine_spec());
-  for (std::size_t j = 0; j < result.cpd.size(); ++j) {
-    expect_same_outcome(again.cpd[j], result.cpd[j], "re-run");
+  const auto again = core::ExperimentEngine().run(engine_spec());
+  for (std::size_t j = 0; j < result.detectors.size(); ++j) {
+    expect_same_outcome(*again.detectors[j].cpd, *result.detectors[j].cpd,
+                        "re-run");
   }
 }
 

@@ -69,16 +69,9 @@ void append(std::vector<std::uint64_t>& w, const FeatureOutcome& f) {
 /// Every double (as bits), count and flag of a result, in field order.
 std::vector<std::uint64_t> words(const ExperimentResult& r) {
   std::vector<std::uint64_t> w;
-  w.push_back(bits(r.detection_rate));
-  append(w, r.ci);
-  append(w, r.confusion);
-  w.push_back(bits(r.r_hat));
-  append(w, r.predicted);
   w.insert(w.end(), {bits(r.piat_mean_low), bits(r.piat_mean_high),
                      bits(r.piat_var_low), bits(r.piat_var_high)});
-  for (const auto& f : r.per_feature) append(w, f);
-  for (const auto& c : r.cpd) append(w, c);
-  for (const auto& d : r.per_detector) {
+  for (const auto& d : r.detectors) {
     w.push_back(std::hash<std::string>{}(d.name));
     w.push_back(bits(d.attack_score));
     append(w, d.confusion);
@@ -89,7 +82,6 @@ std::vector<std::uint64_t> words(const ExperimentResult& r) {
     w.insert(w.end(), {p.sample_size, p.train_windows, p.test_windows,
                        bits(p.r_hat)});
     for (const auto& f : p.per_feature) append(w, f);
-    for (const auto& c : p.cpd) append(w, c);
   }
   w.push_back(r.overhead_per_class.size());
   for (const auto& oh : r.overhead_per_class) {
@@ -138,8 +130,8 @@ ExperimentSpec single_entropy_spec() {
   return spec;
 }
 
-/// CUSUM and EDF detectors riding the capture as extra detectors.
-ExperimentSpec extra_detectors_spec() {
+/// CUSUM and EDF detectors riding the capture through the plan's list.
+ExperimentSpec detector_list_spec() {
   ExperimentSpec spec = base_spec(lab_zero_cross(make_cit()));
   spec.plan.adversary.feature = classify::FeatureKind::kSampleVariance;
   spec.plan.adversary.window_size = 300;
@@ -154,7 +146,7 @@ ExperimentSpec extra_detectors_spec() {
   cusum.cpd->target_far = 0.05;
   cusum.cpd->horizon = 400;
   cusum.cpd->trials = 40;
-  spec.plan.extra_detectors = {edf, cusum};
+  spec.plan.detectors = {edf, cusum};
   return spec;
 }
 
@@ -295,11 +287,11 @@ TEST(ClassSchedule, StreamedPrepassIsBitIdenticalOnEveryPool) {
 }
 
 TEST(ClassSchedule, ExtraCusumAndEdfDetectorsAreBitIdenticalOnEveryPool) {
-  const auto spec = extra_detectors_spec();
+  const auto spec = detector_list_spec();
   const auto result = ExperimentEngine().run(spec);
-  ASSERT_EQ(result.per_detector.size(), 2u);
-  EXPECT_FALSE(result.per_detector[0].cpd.has_value());
-  EXPECT_TRUE(result.per_detector[1].cpd.has_value());
+  ASSERT_EQ(result.detectors.size(), 2u);
+  EXPECT_FALSE(result.detectors[0].cpd.has_value());
+  EXPECT_TRUE(result.detectors[1].cpd.has_value());
   expect_schedule_free(spec);
 }
 

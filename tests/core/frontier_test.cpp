@@ -27,13 +27,13 @@ namespace {
 /// Bitwise equality of the fields the frontier reads off a result,
 /// including the overhead accounting.
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(std::memcmp(&a.detection_rate, &b.detection_rate, sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(&a.r_hat, &b.r_hat, sizeof(double)), 0);
-  ASSERT_EQ(a.per_feature.size(), b.per_feature.size());
-  for (std::size_t f = 0; f < a.per_feature.size(); ++f) {
-    EXPECT_EQ(std::memcmp(&a.per_feature[f].detection_rate,
-                          &b.per_feature[f].detection_rate, sizeof(double)),
+  const SampleSizePoint& ta = a.top();
+  const SampleSizePoint& tb = b.top();
+  EXPECT_EQ(std::memcmp(&ta.r_hat, &tb.r_hat, sizeof(double)), 0);
+  ASSERT_EQ(ta.per_feature.size(), tb.per_feature.size());
+  for (std::size_t f = 0; f < ta.per_feature.size(); ++f) {
+    EXPECT_EQ(std::memcmp(&ta.per_feature[f].detection_rate,
+                          &tb.per_feature[f].detection_rate, sizeof(double)),
               0);
   }
   ASSERT_EQ(a.overhead_per_class.size(), b.overhead_per_class.size());
@@ -139,7 +139,7 @@ TEST(FrontierOverhead, EngineAccountingTracksAnalyticRatesForCit) {
   spec.plan.train_windows = 6;
   spec.plan.test_windows = 6;
   spec.seed = 5;
-  const auto result = run_experiment(spec);
+  const auto result = ExperimentEngine().run(spec);
 
   ASSERT_EQ(result.overhead_per_class.size(), 2u);
   const double analytic = padded_wire_rate_bps(spec.scenario);
@@ -167,7 +167,7 @@ TEST(FrontierOverhead, MeasuredBudgetedOverheadMatchesStaticModel) {
   spec.plan.train_windows = 6;
   spec.plan.test_windows = 6;
   spec.seed = 9;
-  const auto result = run_experiment(spec);
+  const auto result = ExperimentEngine().run(spec);
 
   ASSERT_EQ(result.overhead_per_class.size(), 2u);
   for (std::size_t c = 0; c < 2; ++c) {

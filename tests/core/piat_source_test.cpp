@@ -118,10 +118,10 @@ TEST(OpenPiats, EngineTestStreamsKeepDelayPercentiles) {
               words(direct.overhead_per_class[c]));
   }
   ASSERT_TRUE(direct.worst_delay_p95().has_value());
-  ASSERT_EQ(wrapped.per_feature.size(), direct.per_feature.size());
-  for (std::size_t f = 0; f < direct.per_feature.size(); ++f) {
-    EXPECT_EQ(wrapped.per_feature[f].confusion.to_string(),
-              direct.per_feature[f].confusion.to_string());
+  ASSERT_EQ(wrapped.top().per_feature.size(), direct.top().per_feature.size());
+  for (std::size_t f = 0; f < direct.top().per_feature.size(); ++f) {
+    EXPECT_EQ(wrapped.top().per_feature[f].confusion.to_string(),
+              direct.top().per_feature[f].confusion.to_string());
   }
 }
 

@@ -51,9 +51,6 @@ void expect_same_confusion(const classify::ConfusionMatrix& a,
 void expect_same_experiment(const ExperimentResult& a,
                             const ExperimentResult& b,
                             const std::string& label) {
-  expect_bitwise_equal(a.detection_rate, b.detection_rate, label + " rate");
-  expect_bitwise_equal(a.r_hat, b.r_hat, label + " r_hat");
-  expect_same_confusion(a.confusion, b.confusion, label);
   ASSERT_EQ(a.by_sample_size.size(), b.by_sample_size.size()) << label;
   for (std::size_t i = 0; i < a.by_sample_size.size(); ++i) {
     const auto& pa = a.by_sample_size[i];
@@ -62,9 +59,11 @@ void expect_same_experiment(const ExperimentResult& a,
     expect_bitwise_equal(pa.r_hat, pb.r_hat, label + " point r_hat");
     ASSERT_EQ(pa.per_feature.size(), pb.per_feature.size()) << label;
     for (std::size_t f = 0; f < pa.per_feature.size(); ++f) {
+      const std::string at = label + " n=" + std::to_string(pa.sample_size);
+      expect_bitwise_equal(pa.per_feature[f].detection_rate,
+                           pb.per_feature[f].detection_rate, at + " rate");
       expect_same_confusion(pa.per_feature[f].confusion,
-                            pb.per_feature[f].confusion,
-                            label + " n=" + std::to_string(pa.sample_size));
+                            pb.per_feature[f].confusion, at);
     }
   }
 }
@@ -408,9 +407,9 @@ TEST(Population, FlowSpecReproducesPopulationSlotForReactivePolicy) {
 
   const auto population = PopulationEngine().run(spec);
   for (std::size_t f = 0; f < spec.flows; ++f) {
-    const auto standalone = run_experiment(spec.flow_spec(f));
-    EXPECT_EQ(standalone.detection_rate,
-              population.per_flow[f].detection_rate);
+    const auto standalone = ExperimentEngine().run(spec.flow_spec(f));
+    EXPECT_EQ(standalone.primary().detection_rate,
+              population.per_flow[f].primary().detection_rate);
     ASSERT_EQ(standalone.overhead_per_class.size(),
               population.per_flow[f].overhead_per_class.size());
     for (std::size_t c = 0; c < standalone.overhead_per_class.size(); ++c) {
@@ -604,24 +603,30 @@ TEST(Population, RejectsMalformedSpecs) {
 }
 
 TEST(Population, RefusesExtraDetectorsByName) {
-  // No aggregate reads an extra detector and shard files do not carry its
-  // outcome, so a campaign must refuse one up front rather than lose it
-  // at the first shard merge.
-  auto spec = small_spec(4);
-  classify::DetectorSpec extra;
-  extra.adversary.feature = classify::FeatureKind::kSampleMean;
-  extra.adversary.window_size = 60;
-  spec.experiment.plan.extra_detectors = {extra};
-  try {
-    (void)PopulationEngine().run(spec);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& err) {
-    EXPECT_NE(std::string(err.what()).find("extra_detectors"),
-              std::string::npos)
-        << err.what();
+  // The population aggregates only change-point detectors; no aggregate
+  // reads a window or EDF detector's verdict, so a campaign must refuse
+  // one up front, by name, rather than lose it at the first shard merge.
+  classify::DetectorSpec window;
+  window.adversary.feature = classify::FeatureKind::kSampleMean;
+  window.adversary.window_size = 60;
+  classify::DetectorSpec edf;
+  edf.adversary.window_size = 60;
+  edf.edf = classify::EdfDistance::kKolmogorovSmirnov;
+  for (const auto& [entry, name] :
+       {std::pair{window, "sample mean"}, std::pair{edf, "EDF nearest (KS)"}}) {
+    auto spec = small_spec(4);
+    spec.experiment.plan.detectors = {entry};
+    try {
+      (void)PopulationEngine().run(spec);
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("plan.detectors"), std::string::npos) << what;
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)PopulationEngine().run_chunks(spec, {0}),
+                 std::invalid_argument);
   }
-  EXPECT_THROW((void)PopulationEngine().run_chunks(spec, {0}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -336,10 +336,9 @@ TuneResult tune_by_resimulation(const Scenario& scenario,
               spec.scenario = scenario;
               spec.plan = plan;
               spec.plan.extra_features.clear();
-              spec.plan.cpd_detectors.clear();
               spec.plan.adversary = candidate.adversary;
               spec.plan.adversary.feature = classify::FeatureKind::kSampleMean;
-              spec.plan.extra_detectors = {candidate};
+              spec.plan.detectors = {candidate};
               spec.plan.train_windows = train_windows;
               spec.plan.test_windows = test_windows;
               spec.seed = seed;
@@ -347,7 +346,7 @@ TuneResult tune_by_resimulation(const Scenario& scenario,
             });
     std::vector<double> scores(survivors.size());
     for (std::size_t i = 0; i < survivors.size(); ++i) {
-      scores[i] = report.results[i].per_detector.at(0).attack_score;
+      scores[i] = report.results[i].detectors.at(0).attack_score;
     }
     result.rounds += 1;
     result.evaluations += survivors.size();

@@ -165,23 +165,25 @@ FeatureOutcome random_feature_outcome(util::Rng& rng) {
   return f;
 }
 
+DetectorOutcome random_detector_outcome(util::Rng& rng) {
+  DetectorOutcome d;
+  // Names a JSON writer must escape ride along with the real ones.
+  const char* names[] = {"cusum", "EDF nearest (KS)", "say \"hi\"\\\n\t"};
+  d.name = names[static_cast<std::size_t>(rng.uniform(0.0, 2.999))];
+  d.attack_score = random_double(rng);
+  d.confusion = random_confusion(rng);
+  if (rng.uniform01() < 0.5) d.cpd = random_cpd_outcome(rng);
+  return d;
+}
+
 ExperimentResult random_experiment_result(util::Rng& rng,
                                           std::size_t axis_points) {
   ExperimentResult r;
-  r.detection_rate = random_double(rng);
-  r.ci = random_ci(rng);
-  r.confusion = random_confusion(rng);
-  r.r_hat = random_double(rng);
-  if (rng.uniform01() < 0.5) r.predicted = random_double(rng);
   r.piat_mean_low = random_double(rng);
   r.piat_mean_high = random_double(rng);
   r.piat_var_low = random_double(rng);
   r.piat_var_high = random_double(rng);
   const std::size_t features = 1 + static_cast<std::size_t>(rng.uniform01() * 2);
-  for (std::size_t i = 0; i < features; ++i) {
-    r.per_feature.push_back(random_feature_outcome(rng));
-  }
-  r.cpd = random_cpd_outcomes(rng);
   for (std::size_t i = 0; i < axis_points; ++i) {
     SampleSizePoint p;
     p.sample_size = 10 * (i + 1);
@@ -191,9 +193,10 @@ ExperimentResult random_experiment_result(util::Rng& rng,
     for (std::size_t f = 0; f < features; ++f) {
       p.per_feature.push_back(random_feature_outcome(rng));
     }
-    p.cpd = random_cpd_outcomes(rng);
     r.by_sample_size.push_back(std::move(p));
   }
+  r.detectors.resize(static_cast<std::size_t>(rng.uniform(0.0, 2.999)));
+  for (auto& d : r.detectors) d = random_detector_outcome(rng);
   if (rng.uniform01() < 0.7) {
     for (int c = 0; c < 2; ++c) {
       StreamOverhead o;
@@ -303,40 +306,59 @@ void expect_same_overhead(const FlowOverhead& a, const FlowOverhead& b,
   expect_bits(a.delay_p95, b.delay_p95, label + " delay_p95");
 }
 
-void expect_same_result_bits(const ExperimentResult& a,
-                             const ExperimentResult& b,
-                             const std::string& label) {
-  expect_bits(a.detection_rate, b.detection_rate, label + " rate");
-  expect_bits(a.ci.estimate, b.ci.estimate, label + " ci.estimate");
-  expect_bits(a.ci.lo, b.ci.lo, label + " ci.lo");
-  expect_bits(a.ci.hi, b.ci.hi, label + " ci.hi");
-  expect_bits(a.r_hat, b.r_hat, label + " r_hat");
-  ASSERT_EQ(a.predicted.has_value(), b.predicted.has_value()) << label;
-  if (a.predicted) expect_bits(*a.predicted, *b.predicted, label + " predicted");
-  expect_bits(a.piat_mean_low, b.piat_mean_low, label + " piat_mean_low");
-  expect_bits(a.piat_var_high, b.piat_var_high, label + " piat_var_high");
-  ASSERT_EQ(a.confusion.num_classes(), b.confusion.num_classes()) << label;
-  EXPECT_EQ(a.confusion.total(), b.confusion.total()) << label;
-  for (std::size_t t = 0; t < a.confusion.num_classes(); ++t) {
-    for (std::size_t p = 0; p < a.confusion.num_classes(); ++p) {
-      EXPECT_EQ(a.confusion.count(static_cast<int>(t), static_cast<int>(p)),
-                b.confusion.count(static_cast<int>(t), static_cast<int>(p)))
+void expect_same_confusion(const classify::ConfusionMatrix& a,
+                           const classify::ConfusionMatrix& b,
+                           const std::string& label) {
+  ASSERT_EQ(a.num_classes(), b.num_classes()) << label;
+  for (std::size_t t = 0; t < a.num_classes(); ++t) {
+    for (std::size_t p = 0; p < a.num_classes(); ++p) {
+      EXPECT_EQ(a.count(static_cast<int>(t), static_cast<int>(p)),
+                b.count(static_cast<int>(t), static_cast<int>(p)))
           << label;
     }
   }
-  ASSERT_EQ(a.per_feature.size(), b.per_feature.size()) << label;
-  for (std::size_t i = 0; i < a.per_feature.size(); ++i) {
-    EXPECT_EQ(a.per_feature[i].feature, b.per_feature[i].feature) << label;
-    expect_bits(a.per_feature[i].detection_rate,
-                b.per_feature[i].detection_rate, label + " feature rate");
-  }
+}
+
+void expect_same_result_bits(const ExperimentResult& a,
+                             const ExperimentResult& b,
+                             const std::string& label) {
+  expect_bits(a.piat_mean_low, b.piat_mean_low, label + " piat_mean_low");
+  expect_bits(a.piat_var_high, b.piat_var_high, label + " piat_var_high");
   ASSERT_EQ(a.by_sample_size.size(), b.by_sample_size.size()) << label;
   for (std::size_t i = 0; i < a.by_sample_size.size(); ++i) {
-    EXPECT_EQ(a.by_sample_size[i].sample_size, b.by_sample_size[i].sample_size);
-    EXPECT_EQ(a.by_sample_size[i].train_windows,
-              b.by_sample_size[i].train_windows);
-    expect_bits(a.by_sample_size[i].r_hat, b.by_sample_size[i].r_hat,
-                label + " point r_hat");
+    const SampleSizePoint& pa = a.by_sample_size[i];
+    const SampleSizePoint& pb = b.by_sample_size[i];
+    EXPECT_EQ(pa.sample_size, pb.sample_size) << label;
+    EXPECT_EQ(pa.train_windows, pb.train_windows) << label;
+    expect_bits(pa.r_hat, pb.r_hat, label + " point r_hat");
+    ASSERT_EQ(pa.per_feature.size(), pb.per_feature.size()) << label;
+    for (std::size_t f = 0; f < pa.per_feature.size(); ++f) {
+      const FeatureOutcome& fa = pa.per_feature[f];
+      const FeatureOutcome& fb = pb.per_feature[f];
+      EXPECT_EQ(fa.feature, fb.feature) << label;
+      expect_bits(fa.detection_rate, fb.detection_rate, label + " rate");
+      expect_bits(fa.ci.lo, fb.ci.lo, label + " ci.lo");
+      expect_same_confusion(fa.confusion, fb.confusion, label);
+      ASSERT_EQ(fa.predicted.has_value(), fb.predicted.has_value()) << label;
+      if (fa.predicted) {
+        expect_bits(*fa.predicted, *fb.predicted, label + " predicted");
+      }
+    }
+  }
+  ASSERT_EQ(a.detectors.size(), b.detectors.size()) << label;
+  for (std::size_t j = 0; j < a.detectors.size(); ++j) {
+    const DetectorOutcome& da = a.detectors[j];
+    const DetectorOutcome& db = b.detectors[j];
+    EXPECT_EQ(da.name, db.name) << label;
+    expect_bits(da.attack_score, db.attack_score, label + " score");
+    expect_same_confusion(da.confusion, db.confusion, label);
+    ASSERT_EQ(da.cpd.has_value(), db.cpd.has_value()) << label;
+    if (da.cpd) {
+      EXPECT_EQ(da.cpd->kind, db.cpd->kind) << label;
+      expect_bits(da.cpd->threshold, db.cpd->threshold, label + " threshold");
+      EXPECT_EQ(da.cpd->ttd.n_at_detection, db.cpd->ttd.n_at_detection)
+          << label;
+    }
   }
   ASSERT_EQ(a.overhead_per_class.size(), b.overhead_per_class.size()) << label;
   for (std::size_t i = 0; i < a.overhead_per_class.size(); ++i) {
@@ -418,8 +440,40 @@ TEST(ShardRoundTrip, TwoHundredRandomAggregatesSurviveBitwise) {
 // kShardFormatVersion bump.
 
 // A header and one keep_per_flow chunk with CPD rows, a null `predicted`,
-// ±inf and −0, as format version 3 writes them.
+// ±inf and −0, as format version 4 writes them.
 const std::string kGoldenShard =
+    R"({"linkpad_shard":4,"shard_index":1,"shard_count":2,"flows":4,"grain":1,)"
+    R"("sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detection_thr)"
+    R"(eshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed":20)"
+    R"(030324,"keep_per_flow":true})"
+    "\n"
+    R"({"chunk":1,"first_flow":1,"rates":[["3fe0000000000000"],["7ff0000000000)"
+    R"(000"]],"overhead":[{"has_cost":true,"padding_bps":"41024f8000000000","w)"
+    R"(ire_bps":"41286a0000000000","dummy_fraction":"8000000000000000","has_de)"
+    R"(lay":false,"delay_p95":"0000000000000000"}],"cpd_kinds":[0,1],"cpd":[[{)"
+    R"("detected":true,"n_at_detection":137,"false_alarms":2,"threshold":"4011)"
+    R"(000000000000"}],[{"detected":false,"n_at_detection":0,"false_alarms":0,)"
+    R"("threshold":"7ff0000000000000"}]],"per_flow":[{"piat":["3f847ae147ae147)"
+    R"(b","3f847ae147ae147b","3e112e0be826d695","3e312e0be826d695"],"by_sample)"
+    R"(_size":[{"n":40,"train":3,"test":2,"r_hat":"7ff0000000000000","per_feat)"
+    R"(ure":[{"feature":2,"rate":"3fee000000000000","ci":{"estimate":"3fee0000)"
+    R"(00000000","lo":"8000000000000000","hi":"3ff0000000000000"},"confusion":)"
+    R"({"classes":2,"counts":[7,1,0,8]},"predicted":null}]}],"detectors":[{"na)"
+    R"(me":"cusum","score":"3ff0000000000000","confusion":{"classes":2,"counts)"
+    R"(":[0,0,0,0]},"cpd":{"kind":0,"threshold":"4011000000000000","detected":)"
+    R"(true,"n_at_detection":137,"false_alarms":2}},{"name":"adaptive-ewma","s)"
+    R"(core":"3fe0000000000000","confusion":{"classes":2,"counts":[0,0,0,0]},")"
+    R"(cpd":{"kind":1,"threshold":"7ff0000000000000","detected":false,"n_at_de)"
+    R"(tection":0,"false_alarms":0}}],"overhead_per_class":[{"payload":1000,"d)"
+    R"(ummy":250,"suppressed":3,"wire_bps":"41286a0000000000","padding_bps":"4)"
+    R"(1024f8000000000","dummy_fraction":"3fc999999999999a","delay_mean":"3f50)"
+    R"(624dd2f1a9fc","delay_p50":"3f40624dd2f1a9fc","delay_p95":"8000000000000)"
+    R"(000","delay_p99":"7ff0000000000000"}]}]})"
+    "\n";
+
+// The same campaign as format version 3 wrote it, with ExperimentResult's
+// copies of its top point and a `cpd` array on every SampleSizePoint.
+const std::string kGoldenShardV3 =
     R"({"linkpad_shard":3,"shard_index":1,"shard_count":2,"flows":4,"grain":1,)"
     R"("sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detection_thr)"
     R"(eshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed":20)"
@@ -456,8 +510,20 @@ TEST(ShardBytes, GoldenShardIsAFixedPoint) {
   const PopulationShard shard = parse_shard(kGoldenShard);
   ASSERT_EQ(shard.chunks.size(), 1u);
   ASSERT_EQ(shard.chunks[0].per_flow.size(), 1u);
-  EXPECT_FALSE(shard.chunks[0].per_flow[0].predicted.has_value());
+  EXPECT_FALSE(shard.chunks[0].per_flow[0].primary().predicted.has_value());
+  ASSERT_EQ(shard.chunks[0].per_flow[0].detectors.size(), 2u);
   EXPECT_EQ(serialize_shard(shard), kGoldenShard);
+}
+
+TEST(ShardBytes, VersionThreeGoldenIsRefusedByVersion) {
+  try {
+    (void)parse_shard(kGoldenShardV3);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("shard format version 3 "),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 std::uint64_t fnv1a(std::string_view text) {
@@ -475,8 +541,8 @@ TEST(ShardBytes, SeededCorpusDigestIsPinned) {
     util::Rng rng(9000 + seed);
     corpus += serialize_shard(random_shard(rng));
   }
-  EXPECT_EQ(corpus.size(), 1109342u);
-  EXPECT_EQ(fnv1a(corpus), 0x1c0dda08da2bf9adULL);
+  EXPECT_EQ(corpus.size(), 825372u);
+  EXPECT_EQ(fnv1a(corpus), 0x62012dff6c15d6a1ULL);
 }
 
 // ------------------------------------------------- N-shard bit-identity
@@ -784,7 +850,9 @@ std::vector<std::string> fuzz_sources() {
   options.shard_count = 2;
 
   auto exhaustive = shard_spec(6, 11);
-  exhaustive.experiment.plan.cpd_detectors = {classify::CpdConfig{}};
+  classify::DetectorSpec cusum;
+  cusum.cpd.emplace();
+  exhaustive.experiment.plan.detectors = {cusum};
   sources.push_back(serialize_shard(
       run_population_shard(exhaustive, sim_backend(), options)));
 

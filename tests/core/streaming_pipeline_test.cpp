@@ -85,8 +85,9 @@ TEST(StreamingEquivalence, EveryFeatureMatchesBatchPathAtEveryBatchSize) {
       const auto result = ExperimentEngine(sim_backend(), batch).run(spec);
       const std::string label = classify::feature_name(kind) + " batch " +
                                 std::to_string(batch);
-      expect_same_confusion(result.confusion, reference, label);
-      EXPECT_EQ(result.detection_rate, reference.detection_rate()) << label;
+      expect_same_confusion(result.primary().confusion, reference, label);
+      EXPECT_EQ(result.primary().detection_rate, reference.detection_rate())
+          << label;
     }
   }
 }
@@ -97,7 +98,7 @@ TEST(StreamingEquivalence, MultiFeatureRunMatchesPerFeatureBatchReferences) {
   spec.plan.extra_features.assign(kAllFeatures.begin() + 1, kAllFeatures.end());
 
   const auto result = ExperimentEngine(sim_backend(), 256).run(spec);
-  ASSERT_EQ(result.per_feature.size(), kAllFeatures.size());
+  ASSERT_EQ(result.top().per_feature.size(), kAllFeatures.size());
   for (const auto kind : kAllFeatures) {
     const auto reference = batch_reference(spec, kind);
     const auto& outcome = result.outcome(kind);
@@ -105,8 +106,7 @@ TEST(StreamingEquivalence, MultiFeatureRunMatchesPerFeatureBatchReferences) {
                           classify::feature_name(kind));
     EXPECT_EQ(outcome.detection_rate, reference.detection_rate());
   }
-  // Primary mirrors slot 0.
-  EXPECT_EQ(result.detection_rate, result.per_feature.front().detection_rate);
+  EXPECT_EQ(result.primary().feature, kAllFeatures.front());
 }
 
 TEST(StreamingEquivalence, SweepPoolsMatchBatchReferences) {
@@ -201,7 +201,7 @@ TEST(StreamingWorkSharing, FiveFeaturePointSimulatesOnce) {
   CountingBackend backend;
   const auto result = SweepRunner(backend).run({spec});
   ASSERT_TRUE(result.all_completed());
-  EXPECT_EQ(result.results[0].per_feature.size(), 5u);
+  EXPECT_EQ(result.results[0].top().per_feature.size(), 5u);
 
   // One train + one test stream per class — NOT multiplied by the five
   // features riding the bank.

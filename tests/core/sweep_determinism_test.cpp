@@ -30,32 +30,34 @@ void expect_identical_confusion(const classify::ConfusionMatrix& a,
   }
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 /// Exact (bitwise) equality of two results, field by field, including every
-/// per-feature outcome of the bank pass.
+/// per-feature outcome of the bank pass at every sample size.
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(std::memcmp(&a.detection_rate, &b.detection_rate, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.r_hat, &b.r_hat, sizeof(double)), 0);
-  EXPECT_EQ(a.predicted.has_value(), b.predicted.has_value());
-  if (a.predicted && b.predicted) {
-    EXPECT_EQ(std::memcmp(&*a.predicted, &*b.predicted, sizeof(double)), 0);
-  }
-  EXPECT_EQ(std::memcmp(&a.piat_mean_low, &b.piat_mean_low, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.piat_mean_high, &b.piat_mean_high, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.piat_var_low, &b.piat_var_low, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.piat_var_high, &b.piat_var_high, sizeof(double)), 0);
-  expect_identical_confusion(a.confusion, b.confusion);
-  ASSERT_EQ(a.per_feature.size(), b.per_feature.size());
-  for (std::size_t f = 0; f < a.per_feature.size(); ++f) {
-    const auto& fa = a.per_feature[f];
-    const auto& fb = b.per_feature[f];
-    EXPECT_EQ(fa.feature, fb.feature);
-    EXPECT_EQ(std::memcmp(&fa.detection_rate, &fb.detection_rate,
-                          sizeof(double)), 0);
-    EXPECT_EQ(fa.predicted.has_value(), fb.predicted.has_value());
-    if (fa.predicted && fb.predicted) {
-      EXPECT_EQ(std::memcmp(&*fa.predicted, &*fb.predicted, sizeof(double)), 0);
+  EXPECT_TRUE(same_bits(a.piat_mean_low, b.piat_mean_low));
+  EXPECT_TRUE(same_bits(a.piat_mean_high, b.piat_mean_high));
+  EXPECT_TRUE(same_bits(a.piat_var_low, b.piat_var_low));
+  EXPECT_TRUE(same_bits(a.piat_var_high, b.piat_var_high));
+  ASSERT_EQ(a.by_sample_size.size(), b.by_sample_size.size());
+  for (std::size_t i = 0; i < a.by_sample_size.size(); ++i) {
+    const SampleSizePoint& pa = a.by_sample_size[i];
+    const SampleSizePoint& pb = b.by_sample_size[i];
+    EXPECT_TRUE(same_bits(pa.r_hat, pb.r_hat));
+    ASSERT_EQ(pa.per_feature.size(), pb.per_feature.size());
+    for (std::size_t f = 0; f < pa.per_feature.size(); ++f) {
+      const auto& fa = pa.per_feature[f];
+      const auto& fb = pb.per_feature[f];
+      EXPECT_EQ(fa.feature, fb.feature);
+      EXPECT_TRUE(same_bits(fa.detection_rate, fb.detection_rate));
+      EXPECT_EQ(fa.predicted.has_value(), fb.predicted.has_value());
+      if (fa.predicted && fb.predicted) {
+        EXPECT_TRUE(same_bits(*fa.predicted, *fb.predicted));
+      }
+      expect_identical_confusion(fa.confusion, fb.confusion);
     }
-    expect_identical_confusion(fa.confusion, fb.confusion);
   }
 }
 
@@ -132,10 +134,12 @@ TEST(SweepDeterminism, ExecutionPoliciesAgreeBitwise) {
 }
 
 TEST(SweepDeterminism, LegacyRunSweepMatchesSingleRuns) {
+  // A default SweepRunner's results (what the removed run_sweep wrapper
+  // returned) equal independent single-engine runs.
   const auto specs = eight_point_grid();
-  const auto swept = run_sweep(specs);
+  const auto swept = SweepRunner().run(specs).results;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(swept[i], run_experiment(specs[i]));
+    expect_identical(swept[i], ExperimentEngine().run(specs[i]));
   }
 }
 

@@ -46,7 +46,7 @@ TEST(FullPipeline, CitFailsVitSurvivesEndToEnd) {
     spec.plan.train_windows = 60;
     spec.plan.test_windows = 60;
     spec.seed = 3;
-    return core::run_experiment(spec).detection_rate;
+    return core::ExperimentEngine().run(spec).primary().detection_rate;
   };
   const double v_cit = run(core::make_cit());
   const double v_vit = run(core::make_vit(200e-6));
@@ -64,9 +64,10 @@ TEST(FullPipeline, TheoryPredictsExperimentAcrossSampleSizes) {
     spec.plan.train_windows = 70;
     spec.plan.test_windows = 70;
     spec.seed = 5;
-    const auto r = core::run_experiment(spec);
-    ASSERT_TRUE(r.predicted.has_value());
-    EXPECT_NEAR(r.detection_rate, *r.predicted, 0.12) << "n = " << n;
+    const auto r = core::ExperimentEngine().run(spec);
+    ASSERT_TRUE(r.primary().predicted.has_value());
+    EXPECT_NEAR(r.primary().detection_rate, *r.primary().predicted, 0.12)
+        << "n = " << n;
   }
 }
 
@@ -93,8 +94,8 @@ TEST(FullPipeline, DesignGuidelineSurvivesEmpiricalAttack) {
   spec.plan.train_windows = 60;
   spec.plan.test_windows = 60;
   spec.seed = 7;
-  const auto result = core::run_experiment(spec);
-  EXPECT_LT(result.detection_rate, in.v_max + 0.08);
+  const auto result = core::ExperimentEngine().run(spec);
+  EXPECT_LT(result.primary().detection_rate, in.v_max + 0.08);
 }
 
 TEST(FullPipeline, RemoteTapWeakensTheAdversary) {
@@ -108,7 +109,7 @@ TEST(FullPipeline, RemoteTapWeakensTheAdversary) {
     spec.plan.train_windows = 50;
     spec.plan.test_windows = 50;
     spec.seed = 9;
-    return core::run_experiment(spec).detection_rate;
+    return core::ExperimentEngine().run(spec).primary().detection_rate;
   };
   const double at_gateway = run(core::lab_zero_cross(core::make_cit()));
   const double behind_congestion =
@@ -128,7 +129,7 @@ TEST(FullPipeline, PayloadProcessShapeDoesNotChangeTheStory) {
     spec.plan.train_windows = 50;
     spec.plan.test_windows = 50;
     spec.seed = 13;
-    EXPECT_GT(core::run_experiment(spec).detection_rate, 0.8);
+    EXPECT_GT(core::ExperimentEngine().run(spec).primary().detection_rate, 0.8);
   }
 }
 

@@ -37,10 +37,10 @@ TEST_P(DeterminismSweep, ExperimentIsAPureFunctionOfSpec) {
   spec.plan.test_windows = 25;
   spec.seed = seed;
 
-  const auto a = core::run_experiment(spec);
-  const auto b = core::run_experiment(spec);
-  EXPECT_DOUBLE_EQ(a.detection_rate, b.detection_rate);
-  EXPECT_DOUBLE_EQ(a.r_hat, b.r_hat);
+  const auto a = core::ExperimentEngine().run(spec);
+  const auto b = core::ExperimentEngine().run(spec);
+  EXPECT_DOUBLE_EQ(a.primary().detection_rate, b.primary().detection_rate);
+  EXPECT_DOUBLE_EQ(a.top().r_hat, b.top().r_hat);
   EXPECT_DOUBLE_EQ(a.piat_var_low, b.piat_var_low);
 }
 
@@ -150,11 +150,13 @@ TEST(ParallelReproducibility, SweepEqualsSerialExecution) {
     spec.seed = 100 + static_cast<std::uint64_t>(i);
     specs.push_back(std::move(spec));
   }
-  const auto parallel = core::run_sweep(specs);
+  const auto parallel = core::SweepRunner().run(specs).results;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto serial = core::run_experiment(specs[i]);
-    EXPECT_DOUBLE_EQ(parallel[i].detection_rate, serial.detection_rate) << i;
-    EXPECT_DOUBLE_EQ(parallel[i].r_hat, serial.r_hat) << i;
+    const auto serial = core::ExperimentEngine().run(specs[i]);
+    EXPECT_DOUBLE_EQ(parallel[i].primary().detection_rate,
+                     serial.primary().detection_rate)
+        << i;
+    EXPECT_DOUBLE_EQ(parallel[i].top().r_hat, serial.top().r_hat) << i;
   }
 }
 

@@ -2,10 +2,8 @@
 // wiring of the same apparatus: a sim::Simulation driving PaddingGateway,
 // the payload source and a PathModel tap in run_until slabs. Every policy ×
 // payload × hop layout must give the same PIATs, gateway stats, clock, wire
-// rate and event count, bit for bit, after every pull. The loop
-// instantiation on concrete (source, policy) types is also held to the
-// generic instantiation on the same draws, and a testbed without delay
-// sketches to one with them.
+// rate and event count, bit for bit, after every pull. A testbed without
+// delay sketches is also held to one with them.
 //
 // The same file pins PacketLevelTestbed (the DES driver that stays) to
 // digests of its PIATs and gateway stats.
@@ -183,58 +181,6 @@ void expect_same_pulls(const TestbedConfig& config, std::uint64_t seed,
   expect_same_pulls(des, bed, pulls);
 }
 
-/// Forwards every call to the policy it wraps. The testbed cannot see
-/// through it, so it runs the generic loop on exactly the draws of the
-/// wrapped policy: the reference for the specialized instantiation.
-class Forwarding final : public TimerPolicy {
- public:
-  explicit Forwarding(std::unique_ptr<TimerPolicy> inner)
-      : inner_(std::move(inner)) {}
-  Seconds next_interval(util::Rng& rng) override {
-    return inner_->next_interval(rng);
-  }
-  [[nodiscard]] Seconds mean_interval() const override {
-    return inner_->mean_interval();
-  }
-  [[nodiscard]] double interval_variance() const override {
-    return inner_->interval_variance();
-  }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  void observe(const GatewayFeedback& feedback) override {
-    inner_->observe(feedback);
-  }
-  [[nodiscard]] bool spend_dummy(const GatewayFeedback& feedback) override {
-    return inner_->spend_dummy(feedback);
-  }
-  [[nodiscard]] bool payload_reactive() const override {
-    return inner_->payload_reactive();
-  }
-  [[nodiscard]] std::unique_ptr<TimerPolicy> clone() const override {
-    return std::make_unique<Forwarding>(inner_->clone());
-  }
-
- private:
-  std::unique_ptr<TimerPolicy> inner_;
-};
-
-/// The loop `config` runs in, its generic twin and the DES oracle must
-/// agree bit for bit after every pull; `loop` is the instantiation the
-/// testbed must pick for `config`.
-void expect_loop_matches(const TestbedConfig& config, TestbedLoop loop,
-                         std::uint64_t seed,
-                         const std::vector<std::size_t>& pulls) {
-  TestbedConfig twin = config;
-  twin.policy = std::make_shared<Forwarding>(config.policy->clone());
-  util::Xoshiro256pp rng_generic(seed);
-  util::Xoshiro256pp rng_bed(seed);
-  Testbed generic(twin, rng_generic);
-  Testbed bed(config, rng_bed);
-  ASSERT_EQ(generic.loop(), TestbedLoop::kGeneric);
-  ASSERT_EQ(bed.loop(), loop);
-  expect_same_pulls(generic, bed, pulls);
-  expect_same_pulls(config, seed, pulls);
-}
-
 // ------------------------------------------------------------------ grid
 
 constexpr int kPolicies = 7;
@@ -316,13 +262,6 @@ const char* payload_label(PayloadKind kind) {
   return "?";
 }
 
-/// The loop instantiation a grid point must run: CBR payload with CIT gets
-/// its own, everything else the generic one.
-TestbedLoop grid_loop(int policy, PayloadKind payload) {
-  return policy == 0 && payload == PayloadKind::kCbr ? TestbedLoop::kCbrCit
-                                                     : TestbedLoop::kGeneric;
-}
-
 /// Pulls of 1, 7 and 8192 PIATs, then one that carries the consumed
 /// arrivals past 65,536 (the testbed trims its arrival buffer there), then
 /// one more from the trimmed buffer.
@@ -343,8 +282,6 @@ TEST_P(LoopMatchesDes, BitIdenticalAfterEveryPull) {
       20030324 + static_cast<std::uint64_t>(100 * policy + 10 * hops) +
       static_cast<std::uint64_t>(payload);
   expect_same_pulls(config, seed, kPulls);
-  util::Xoshiro256pp rng(seed);
-  EXPECT_EQ(Testbed(config, rng).loop(), grid_loop(policy, payload));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -360,56 +297,16 @@ INSTANTIATE_TEST_SUITE_P(
              hops_label(std::get<2>(info.param));
     });
 
-// -------------------------------- specialized loop against the generic one
-
-/// No hops, then one hop at ρ 0.51 and one at the 0.95 cap under each
-/// service model, then the four mixed hops.
-std::vector<HopConfig> specialized_hops(int i) {
-  const ServiceModel models[] = {ServiceModel::kDeterministic,
-                                 ServiceModel::kExponential,
-                                 ServiceModel::kTrimodal};
-  if (i == 0) return {};
-  if (i <= 6) {
-    const double rho = i <= 3 ? 0.51 : 0.95;
-    return {hop(500e6, rho, 1500, models[(i - 1) % 3])};
-  }
-  return grid_hops(3);
-}
-
-const char* specialized_hops_label(int i) {
-  static const char* const kLabels[] = {
-      "no_hops",        "rho051_det",     "rho051_exp",
-      "rho051_trimodal", "rho095_det",    "rho095_exp",
-      "rho095_trimodal", "four_mixed"};
-  return kLabels[i];
-}
-
-class SpecializedLoopMatchesGeneric : public ::testing::TestWithParam<int> {};
-
-TEST_P(SpecializedLoopMatchesGeneric, BitIdenticalAfterEveryPull) {
-  const int hops = GetParam();
-  TestbedConfig config;
-  config.policy = grid_policy(0);
-  config.payload_rate = 40.0;
-  config.hops_before_tap = specialized_hops(hops);
-  expect_loop_matches(config, TestbedLoop::kCbrCit,
-                      20240611 + static_cast<std::uint64_t>(hops), kPulls);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    CbrCit, SpecializedLoopMatchesGeneric, ::testing::Range(0, 8),
-    [](const ::testing::TestParamInfo<int>& info) {
-      return std::string(specialized_hops_label(info.param));
-    });
+// ---------------------------------------------------------- full queue
 
 TEST(TestbedReference, SpecializedQueueFillsToCapacityAndDrops) {
-  // CBR payload at four times the CIT timer rate: the queue of the
-  // specialized loop fills to its capacity within 14 s, then three of
-  // every four arrivals drop.
+  // CBR payload at four times the CIT timer rate: the gateway queue fills
+  // to its capacity within 14 s, then three of every four arrivals drop,
+  // on the testbed's loop exactly as on the DES oracle.
   TestbedConfig config;
   config.policy = std::make_shared<ConstantIntervalTimer>(10e-3);
   config.payload_rate = 400.0;
-  expect_loop_matches(config, TestbedLoop::kCbrCit, 93, {1, 8192, 20000});
+  expect_same_pulls(config, 93, {1, 8192, 20000});
   util::Xoshiro256pp rng(93);
   Testbed bed(config, rng);
   std::vector<Seconds> sink;
@@ -425,8 +322,8 @@ TEST(TestbedReference, SpecializedQueueFillsToCapacityAndDrops) {
 
 TEST(TestbedReference, SkippingDelaySketchesKeepsEverythingElse) {
   // PIATs, counters, clock, wire rate and event count must not depend on
-  // the sketches, on the specialized loop and the generic one alike; the
-  // skipping testbed's delay moments and sketches stay empty.
+  // the sketches; the skipping testbed's delay moments and sketches stay
+  // empty.
   for (int policy : {0, 1, 4}) {
     for (int hops : {0, 2}) {
       TestbedConfig config;

@@ -257,33 +257,5 @@ TEST(Ziggurat, ExponentialMatchesInverseCdfByKsAndMoments) {
   EXPECT_LT(ziggurat_acceptance::ks_sorted(zig, inv), crit);
 }
 
-TEST(Ziggurat, FlagSwitchesSamplersAndRestoresBitReproducibility) {
-  ASSERT_FALSE(ziggurat_sampling());  // default OFF: figures reproducible
-
-  util::Xoshiro256pp before(5);
-  std::vector<double> reference(64);
-  for (auto& x : reference) x = sample_standard_normal(before);
-
-  set_ziggurat_sampling(true);
-  EXPECT_TRUE(ziggurat_sampling());
-  util::Xoshiro256pp zig_rng(5), direct_rng(5);
-  for (int i = 0; i < 64; ++i) {
-    // Dispatched and direct draws agree exactly while the flag is on.
-    EXPECT_EQ(sample_standard_normal(zig_rng),
-              sample_standard_normal_ziggurat(direct_rng));
-  }
-  // Exponential::sample dispatches too (consumes a different draw count).
-  util::Xoshiro256pp exp_rng(6);
-  const double zig_exp = Exponential(2.0).sample(exp_rng);
-  EXPECT_GE(zig_exp, 0.0);
-  set_ziggurat_sampling(false);
-
-  // Back to the reference path: bit-identical to the pre-toggle sequence.
-  util::Xoshiro256pp after(5);
-  for (const double want : reference) {
-    EXPECT_EQ(sample_standard_normal(after), want);
-  }
-}
-
 }  // namespace
 }  // namespace linkpad::stats
