@@ -50,10 +50,10 @@ std::vector<double> detection_over_day(
     if (done == total) std::fprintf(stderr, "\n");
   };
 
-  const auto report =
+  const auto results =
       core::SweepRunner(core::sim_backend(), options).run(grid.expand());
   std::vector<double> rates;
-  for (const auto& r : report.results) {
+  for (const auto& r : results) {
     rates.push_back(r.primary().detection_rate);
   }
   return rates;

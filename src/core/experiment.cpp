@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -616,75 +615,30 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
 SweepRunner::SweepRunner(const ExperimentBackend& backend, SweepOptions options)
     : backend_(&backend), options_(std::move(options)) {}
 
-SweepReport SweepRunner::run(const std::vector<ExperimentSpec>& specs) const {
+std::vector<ExperimentResult> SweepRunner::run(
+    const std::vector<ExperimentSpec>& specs) const {
   return run(specs.size(), [&](std::size_t i) { return specs[i]; });
 }
 
-SweepReport SweepRunner::run(
+std::vector<ExperimentResult> SweepRunner::run(
     std::size_t count,
     const std::function<ExperimentSpec(std::size_t)>& spec_for) const {
-  SweepReport report;
-  report.results.resize(count);
-  report.completed.assign(count, 0);
-  if (count == 0) return report;
-
-  std::atomic<bool> stop{false};
+  std::vector<ExperimentResult> results(count);
+  // ExperimentEngine::run is const and keeps no scratch: one engine serves
+  // every worker. Progress gets its own snapshot of the done count.
+  const ExperimentEngine engine(*backend_, options_.batch_piats);
   std::atomic<std::size_t> done{0};
-  std::mutex callback_mutex;
-
-  // Runs point i on `engine`. early_stop stays serialized (its contract);
-  // progress is invoked OUTSIDE the lock with its own snapshot of the done
-  // count, so a slow observer never serializes the workers.
-  auto run_point = [&](const ExperimentEngine& engine, std::size_t i) {
-    if (stop.load(std::memory_order_relaxed)) return;  // early-stopped
-    report.results[i] = engine.run(spec_for(i));
-    report.completed[i] = 1;
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (options_.early_stop) {
-      std::lock_guard<std::mutex> lock(callback_mutex);
-      if (options_.early_stop(i, report.results[i])) {
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-    if (options_.progress) options_.progress(finished, count);
-  };
-
-  const std::size_t grain = std::max<std::size_t>(options_.grain, 1);
-  auto dispatch = [&](util::ThreadPool& pool) {
-    switch (options_.execution) {
-      case util::ExecutionPolicy::kSerial: {
-        const ExperimentEngine engine(*backend_, options_.batch_piats);
-        for (std::size_t i = 0; i < count; ++i) run_point(engine, i);
-        return;
-      }
-      case util::ExecutionPolicy::kChunked: {
-        // One engine per worker slot, alive across every chunk the slot
-        // drains — the scratch-reuse shape PopulationEngine builds on.
-        std::vector<ExperimentEngine> engines(
-            util::chunk_slots(pool, count, grain),
-            ExperimentEngine(*backend_, options_.batch_piats));
-        util::parallel_for_chunks(
-            pool, count, grain,
-            [&](std::size_t slot, std::size_t begin, std::size_t end) {
-              for (std::size_t i = begin; i < end; ++i) {
-                run_point(engines[slot], i);
-              }
-            });
-        return;
-      }
-    }
-  };
-
-  if (options_.execution == util::ExecutionPolicy::kSerial ||
-      options_.threads == 0) {
-    dispatch(util::ThreadPool::global());
-  } else {
-    util::ThreadPool pool(options_.threads);
-    dispatch(pool);
-  }
-
-  report.completed_count = done.load();
-  return report;
+  util::with_pool(options_.threads, [&](util::ThreadPool& pool) {
+    util::parallel_for(
+        pool, count,
+        [&](std::size_t i) {
+          results[i] = engine.run(spec_for(i));
+          const std::size_t finished = done.fetch_add(1) + 1;
+          if (options_.progress) options_.progress(finished, count);
+        },
+        options_.grain);
+  });
+  return results;
 }
 
 // ---------------------------------------------------------------- SweepGrid

@@ -247,16 +247,9 @@ struct SweepOptions {
   std::size_t threads = 0;
   /// PIAT pull size per PiatSource::collect call.
   std::size_t batch_piats = 8192;
-  /// Dispatch shape (util::ExecutionPolicy): kSerial runs every point
-  /// inline on the caller, kChunked drains grain-sized runs of points per
-  /// pool task with one ExperimentEngine per worker slot. Results are
-  /// bit-identical under every policy — the choice selects a schedule, not
-  /// a computation.
-  util::ExecutionPolicy execution = util::ExecutionPolicy::kChunked;
-  /// Points handed to a worker per claim under kChunked. 0 = policy
-  /// default: 1 for sweeps, a flow-count-derived grain for
-  /// PopulationEngine. The chunk partition derives from (count, grain)
-  /// only, so grain never perturbs results either.
+  /// Points handed to a worker per claim. 0 = the default: 1 for sweeps,
+  /// a flow-count-derived grain for PopulationEngine. The chunk partition
+  /// derives from (count, grain) only, so grain never perturbs results.
   std::size_t grain = 0;
   /// Process-sharding of a population campaign (DESIGN.md §2.10): this
   /// process claims chunk c of the (flows, grain) partition iff
@@ -269,45 +262,31 @@ struct SweepOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   /// Called after every finished point with (points done, points total).
-  /// Invoked OUTSIDE the runner's callback lock so a slow observer cannot
-  /// serialize the workers: invocations may arrive concurrently and out of
-  /// order (each carries its own snapshot of the done count), so the
-  /// callback must be thread-safe.
+  /// Invoked from the workers outside any lock, so a slow observer cannot
+  /// serialize them: invocations may arrive concurrently and out of order
+  /// (each carries its own snapshot of the done count), so the callback
+  /// must be thread-safe.
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Early stop: called (serialized) with (point index, its result) after
-  /// each point; returning true stops points that have not yet STARTED —
-  /// running points finish. Skipped points keep default-initialized results
-  /// and are reported via SweepReport::completed.
-  std::function<bool(std::size_t, const ExperimentResult&)> early_stop;
-};
-
-/// Results of a sweep plus per-point completion flags (for early stop).
-struct SweepReport {
-  std::vector<ExperimentResult> results;  ///< slot i belongs to specs[i]
-  std::vector<std::uint8_t> completed;    ///< 1 if specs[i] actually ran
-  std::size_t completed_count = 0;
-
-  [[nodiscard]] bool all_completed() const {
-    return completed_count == results.size();
-  }
 };
 
 /// Shards sweep points across a thread pool, one RNG substream tree per
 /// point. Deterministic: bit-identical results at any thread count (when
-/// the backend is deterministic and early_stop is unset).
+/// the backend is deterministic).
 class SweepRunner {
  public:
   explicit SweepRunner(const ExperimentBackend& backend = sim_backend(),
                        SweepOptions options = {});
 
-  [[nodiscard]] SweepReport run(const std::vector<ExperimentSpec>& specs) const;
+  /// One result per spec; slot i belongs to specs[i].
+  [[nodiscard]] std::vector<ExperimentResult> run(
+      const std::vector<ExperimentSpec>& specs) const;
 
   /// Lazy form for very large sweeps (e.g. a PopulationEngine's flows):
   /// point i runs spec_for(i), constructed inside the worker that executes
   /// it, so the full spec set never materializes at once. `spec_for` must
   /// be pure (same i → same spec) and thread-safe; it may be called from
   /// any worker. Results are identical to run(expanded vector).
-  [[nodiscard]] SweepReport run(
+  [[nodiscard]] std::vector<ExperimentResult> run(
       std::size_t count,
       const std::function<ExperimentSpec(std::size_t)>& spec_for) const;
 

@@ -53,29 +53,19 @@ FrontierResult run_frontier(const FrontierSpec& spec,
                             const ExperimentBackend& backend,
                             SweepOptions options) {
   LINKPAD_EXPECTS(!spec.policies.empty());
-  // A partial sweep would leave default-initialized (zero-overhead,
-  // zero-detection) points on the Pareto front; previously this tripped a
-  // bare all_completed() assertion deep in the run. Name the misuse here.
-  if (options.early_stop) {
-    throw std::invalid_argument(
-        "run_frontier: SweepOptions::early_stop must be unset — the "
-        "frontier needs every policy point completed, and a partial sweep "
-        "would silently mark skipped points Pareto-efficient at zero cost");
-  }
   require_overhead_accounting(backend, spec.point_spec(0));
 
-  const auto report =
+  const auto results =
       SweepRunner(backend, std::move(options))
           .run(spec.policies.size(),
                [&](std::size_t i) { return spec.point_spec(i); });
-  LINKPAD_ENSURES(report.all_completed());
 
   FrontierResult result;
   result.points.reserve(spec.policies.size());
   for (std::size_t i = 0; i < spec.policies.size(); ++i) {
     FrontierPoint point;
     point.policy = spec.policies[i]->name();
-    point.result = report.results[i];
+    point.result = results[i];
     for (const auto& outcome : point.result.top().per_feature) {
       point.detection_rate =
           std::max(point.detection_rate, outcome.detection_rate);

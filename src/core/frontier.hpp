@@ -66,10 +66,9 @@ struct FrontierResult {
 
 /// Run the frontier: one ExperimentEngine run per policy point, sharded
 /// across the thread pool (SweepRunner semantics: bit-identical at any
-/// thread count). Throws std::invalid_argument when options.early_stop is
-/// set (a partial sweep has no meaningful Pareto front) or when the
-/// backend provides no padding-cost accounting (e.g. a passive live tap) —
-/// the frontier has no overhead coordinate without it.
+/// thread count). Throws std::invalid_argument when the backend provides
+/// no padding-cost accounting (e.g. a passive live tap) — the frontier has
+/// no overhead coordinate without it.
 [[nodiscard]] FrontierResult run_frontier(const FrontierSpec& spec,
                                           const ExperimentBackend& backend =
                                               sim_backend(),

@@ -151,8 +151,4 @@ const ExperimentBackend& sim_backend() {
   return backend;
 }
 
-std::unique_ptr<ExperimentBackend> make_sim_backend() {
-  return std::make_unique<SimBackend>();
-}
-
 }  // namespace linkpad::core

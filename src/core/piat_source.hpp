@@ -137,7 +137,4 @@ std::size_t stream_batches(
 /// Process-wide default backend: the simulated testbed.
 [[nodiscard]] const ExperimentBackend& sim_backend();
 
-/// Owned simulated backend (for symmetry with make_live_backend).
-[[nodiscard]] std::unique_ptr<ExperimentBackend> make_sim_backend();
-
 }  // namespace linkpad::core

@@ -377,13 +377,11 @@ struct PopulationResult {
 
 /// Runs M per-flow experiments sharded across util::thread_pool and
 /// aggregates them. Accepts SweepOptions (threads / batch_piats / grain /
-/// progress, where progress counts finished flows); early_stop must be
-/// unset — skipping flows would break the population aggregates.
-/// Dispatch is chunked by construction (flows are many and cheap):
-/// execution = kSerial forces the inline reference schedule, every other
-/// policy runs grain-aligned chunks over the pool with one spec copy per
-/// worker slot. grain = 0 picks a flow-count-derived default; any grain
-/// yields bit-identical results.
+/// progress, where progress counts finished flows). Dispatch is chunked by
+/// construction (flows are many and cheap): grain-aligned chunks over the
+/// pool with one spec copy per worker slot, inline on the caller when
+/// threads = 1. grain = 0 picks a flow-count-derived default; any grain
+/// and any thread count yield bit-identical results.
 class PopulationEngine {
  public:
   explicit PopulationEngine(const ExperimentBackend& backend = sim_backend(),

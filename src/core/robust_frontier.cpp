@@ -178,12 +178,6 @@ TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
   LINKPAD_EXPECTS(options.min_windows >= 2);
   LINKPAD_EXPECTS(plan.train_windows >= 2);
   LINKPAD_EXPECTS(plan.test_windows >= 1);
-  if (options.sweep.early_stop) {
-    throw std::invalid_argument(
-        "tune_adversary: SweepOptions::early_stop must be unset — "
-        "successive halving ranks every surviving candidate, and a partial "
-        "round ranks nothing");
-  }
   const auto candidates = space.expand();
 
   // Simulate once per call: every candidate of every round reads the same
@@ -207,16 +201,15 @@ TuneResult tune_adversary(const Scenario& scenario, const AdversaryPlan& plan,
   const auto evaluate = [&](const std::vector<std::size_t>& survivors,
                             std::size_t train_windows,
                             std::size_t test_windows) {
-    const auto report =
+    const auto results =
         SweepRunner(*capture, options.sweep)
             .run(survivors.size(), [&](std::size_t i) {
               return candidate_spec(scenario, plan, candidates[survivors[i]],
                                     seed, train_windows, test_windows);
             });
-    LINKPAD_ENSURES(report.all_completed());
     std::vector<double> scores(survivors.size());
     for (std::size_t i = 0; i < survivors.size(); ++i) {
-      scores[i] = report.results[i].detectors.at(0).attack_score;
+      scores[i] = results[i].detectors.at(0).attack_score;
     }
     result.rounds += 1;
     result.evaluations += survivors.size();
@@ -287,12 +280,6 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
                                          const ExperimentBackend& backend,
                                          SweepOptions options) {
   LINKPAD_EXPECTS(!spec.frontier.policies.empty());
-  if (options.early_stop) {
-    throw std::invalid_argument(
-        "run_robust_frontier: SweepOptions::early_stop must be unset — the "
-        "frontier needs every policy point completed, and a partial sweep "
-        "would silently mark skipped points Pareto-efficient at zero cost");
-  }
   require_overhead_accounting(backend, spec.frontier.point_spec(0),
                               "run_robust_frontier");
 
@@ -318,19 +305,18 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
   // detectors see streams bit-identical to run_frontier's (same seed, same
   // plan; the extra detector taps the capture without perturbing it), so
   // fixed_detection reproduces run_frontier exactly.
-  const auto report = SweepRunner(backend, std::move(options))
-                          .run(count, [&](std::size_t i) {
-                            ExperimentSpec point = spec.frontier.point_spec(i);
-                            point.plan.detectors.push_back(
-                                tuned[i].winner_spec);
-                            return point;
-                          });
-  LINKPAD_ENSURES(report.all_completed());
+  const auto results = SweepRunner(backend, std::move(options))
+                           .run(count, [&](std::size_t i) {
+                             ExperimentSpec point = spec.frontier.point_spec(i);
+                             point.plan.detectors.push_back(
+                                 tuned[i].winner_spec);
+                             return point;
+                           });
 
   RobustFrontierResult result;
   result.points.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const ExperimentResult& scored = report.results[i];
+    const ExperimentResult& scored = results[i];
     RobustFrontierPoint point;
     point.policy = spec.frontier.policies[i]->name();
     for (const auto& outcome : scored.top().per_feature) {

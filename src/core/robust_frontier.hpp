@@ -50,9 +50,8 @@ struct TuneOptions {
   /// doubles every round until it reaches the plan's full budget. Must be
   /// ≥ 2 (a window detector needs two training windows per class).
   std::size_t min_windows = 8;
-  /// Sharding knobs for the per-round SweepRunner (threads / execution /
-  /// grain / batch). `early_stop` must be unset — halving ranks every
-  /// surviving candidate, a partial round ranks nothing.
+  /// Sharding knobs for the per-round SweepRunner (threads / grain /
+  /// batch).
   SweepOptions sweep;
 };
 
@@ -85,8 +84,7 @@ struct TuneResult {
 /// lower candidate index), until the survivors fit options.exhaustive_limit
 /// or the budget reaches the plan's; a final full-budget round ranks the
 /// finalists. Deterministic: bit-identical winner and scores at any
-/// thread count. Throws std::invalid_argument when
-/// options.sweep.early_stop is set.
+/// thread count.
 ///
 /// One stored capture per call: `backend` is opened once per (class,
 /// salt ∈ {1, 2}) at the widest budget any candidate reads (the plan's
@@ -159,8 +157,7 @@ struct RobustFrontierResult {
 /// `options` shapes the sharding of BOTH stages (tune.sweep's sharding
 /// knobs are overridden by it so one flag drives the whole run); results
 /// are bit-identical at any thread count. Throws std::invalid_argument
-/// when options.early_stop is set or the backend provides no padding-cost
-/// accounting.
+/// when the backend provides no padding-cost accounting.
 [[nodiscard]] RobustFrontierResult run_robust_frontier(
     const RobustFrontierSpec& spec,
     const ExperimentBackend& backend = sim_backend(),

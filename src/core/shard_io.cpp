@@ -174,10 +174,16 @@ void fields(V& v, T& s) {
 namespace linkpad::core {
 namespace {
 
+/// A value in [0, 1]; false for NaN.
+bool is_fraction(double x) { return x >= 0.0 && x <= 1.0; }
+
 // Validate one chunk against the (executed_flows, grain) partition and the
 // header's axis; `chunk_id` must be the partition slot its first_flow
 // implies. A sampled campaign partitions the m executed slots, not the
-// deployed M.
+// deployed M. The value checks are the ones finalize and the result JSON
+// rely on: rates and dummy fractions the quantile sketches, means and
+// concentration bounds can fold, and kept results whose top point carries
+// a primary feature.
 void validate_chunk(const PopulationShard& header, std::size_t chunk_id,
                     const ChunkAggregate& chunk) {
   const std::size_t executed = header.executed_flows();
@@ -197,6 +203,16 @@ void validate_chunk(const PopulationShard& header, std::size_t chunk_id,
     if (row.size() != chunk.flow_count()) {
       throw std::invalid_argument("shard_io: chunk rates row size mismatch");
     }
+    if (!std::all_of(row.begin(), row.end(), is_fraction)) {
+      throw std::invalid_argument(
+          "shard_io: chunk detection rate outside [0, 1]");
+    }
+  }
+  for (const FlowOverhead& overhead : chunk.overhead) {
+    if (!is_fraction(overhead.dummy_fraction)) {
+      throw std::invalid_argument(
+          "shard_io: chunk dummy fraction outside [0, 1]");
+    }
   }
   if (chunk.cpd.size() != chunk.cpd_kinds.size()) {
     throw std::invalid_argument("shard_io: chunk cpd rows do not match cpd_kinds");
@@ -211,6 +227,25 @@ void validate_chunk(const PopulationShard& header, std::size_t chunk_id,
   }
   if (header.keep_per_flow != !chunk.per_flow.empty()) {
     throw std::invalid_argument("shard_io: chunk keep_per_flow disagrees with header");
+  }
+  for (const ExperimentResult& result : chunk.per_flow) {
+    const auto& points = result.by_sample_size;
+    if (!std::equal(points.begin(), points.end(), header.sample_sizes.begin(),
+                    header.sample_sizes.end(),
+                    [](const SampleSizePoint& point, std::size_t n) {
+                      return point.sample_size == n;
+                    })) {
+      throw std::invalid_argument(
+          "shard_io: kept per-flow result's sample-size axis is not the "
+          "header's");
+    }
+    for (const SampleSizePoint& point : points) {
+      if (point.per_feature.empty()) {
+        throw std::invalid_argument(
+            "shard_io: kept per-flow result has a point with no per_feature "
+            "outcome");
+      }
+    }
   }
 }
 
@@ -233,6 +268,9 @@ PopulationShard parse_shard_header(std::string_view line) {
   }
   if (shard.flows == 0 || shard.grain == 0) {
     throw std::invalid_argument("shard_io: bad partition parameters in header");
+  }
+  if (shard.sample_sizes.empty()) {
+    throw std::invalid_argument("shard_io: empty sample-size axis in header");
   }
   if (shard.sample_flows == 0) {
     if (shard.sample_round != 0) {
@@ -553,6 +591,16 @@ PopulationResult merge_shards(std::vector<PopulationShard> shards) {
     msg << "shard_io: merged chunks cover " << expect_flow << " of "
         << executed << " flows — a shard is missing or incomplete";
     throw std::invalid_argument(msg.str());
+  }
+  // The header does not carry the change-point layout, so files with one
+  // header — or chunks of one crafted file — can still disagree on it, and
+  // the reduction concatenates the CPD rows by position.
+  for (const auto& chunk : chunks) {
+    if (chunk.cpd_kinds != chunks.front().cpd_kinds) {
+      throw std::invalid_argument(
+          "shard_io: chunks disagree on the change-point detector layout "
+          "(cpd_kinds) — refusing to merge");
+    }
   }
 
   // Same deterministic reduction + single finalize as the 1-process run.

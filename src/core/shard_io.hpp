@@ -93,7 +93,11 @@ struct PopulationShard {
 /// Parse a whole shard file body (header line + chunk lines). With
 /// `tolerate_partial_tail`, a final line that does not parse — the torn
 /// write of a killed worker — is dropped instead of raising; every complete
-/// line before it is kept. Chunks are returned sorted by chunk id.
+/// line before it is kept. Chunks are returned sorted by chunk id. Besides
+/// the layout, a chunk must carry detection rates and dummy fractions in
+/// [0, 1], and each kept per-flow result the header's sample-size axis
+/// with at least one per-feature outcome at every point; anything else
+/// throws std::invalid_argument naming what is wrong.
 [[nodiscard]] PopulationShard parse_shard(const std::string& text,
                                           bool tolerate_partial_tail = false);
 
@@ -143,8 +147,9 @@ struct ShardRunOptions {
 // ------------------------------------------------------------------ merge
 
 /// Merge N shards of one campaign into the final PopulationResult: verify
-/// the headers agree and the chunk union covers the (executed_flows, grain)
-/// partition exactly once, tree-reduce the deserialized ChunkAggregates in
+/// the headers agree, the chunk union covers the (executed_flows, grain)
+/// partition exactly once and every chunk carries the same change-point
+/// layout (std::invalid_argument otherwise), tree-reduce the deserialized ChunkAggregates in
 /// chunk order (ordered concatenation — the same fixed-shape reduction the
 /// single-process run uses), and run the order-sensitive finalize exactly
 /// once (with the sampled-estimate view when the campaign is sampled).

@@ -256,37 +256,4 @@ LogPdfBounds GaussianKde::log_pdf_bounds(double x) const {
   return {v, v};
 }
 
-std::vector<std::pair<double, double>> GaussianKde::evaluate_grid(
-    double lo, double hi, std::size_t points) const {
-  LINKPAD_EXPECTS(points >= 2);
-  LINKPAD_EXPECTS(hi > lo);
-  std::vector<std::pair<double, double>> out;
-  out.reserve(points);
-  const double step = (hi - lo) / static_cast<double>(points - 1);
-  const double h = bandwidth_;
-  // Both edges of the ±8h window only ever move right as x ascends, so two
-  // persistent cursors land on exactly the iterators pdf()'s lower_bound /
-  // upper_bound would find — same kernels, same summation order, the same
-  // doubles bit for bit.
-  auto first = sorted_.begin();
-  auto last = sorted_.begin();
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x = lo + step * static_cast<double>(i);
-    const double window_lo = x - kWindowSigmas * h;
-    const double window_hi = x + kWindowSigmas * h;
-    while (first != sorted_.end() && *first < window_lo) ++first;
-    if (last < first) last = first;
-    while (last != sorted_.end() && *last <= window_hi) ++last;
-
-    double acc = 0.0;
-    for (auto it = first; it != last; ++it) {
-      const double z = (x - *it) / h;
-      acc += std::exp(-0.5 * z * z);
-    }
-    out.emplace_back(
-        x, acc * kInvSqrt2Pi / (static_cast<double>(sorted_.size()) * h));
-  }
-  return out;
-}
-
 }  // namespace linkpad::stats

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace linkpad::stats {
@@ -58,15 +57,6 @@ class GaussianKde {
 
   /// Half-width of a lane-summed enclosure, in log-density units.
   static constexpr double kLaneHalfWidth = 1e-9;
-
-  /// Evaluate on a grid of `points` equally spaced over [lo, hi]
-  /// (for plotting, e.g. Fig 4a). Grid points ascend, so the ±8h kernel
-  /// window slides monotonically: one sweep over the sorted sample replaces
-  /// a fresh binary search per grid point (O(n + m) window management for n
-  /// samples / m points), with results bit-identical to calling pdf() at
-  /// every grid point.
-  [[nodiscard]] std::vector<std::pair<double, double>> evaluate_grid(
-      double lo, double hi, std::size_t points) const;
 
  private:
   /// The kernels pdf() sums for x: those within ±8h, [first, last).

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
 
 namespace linkpad::util {
 
@@ -77,47 +76,18 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t grain) {
-  parallel_for(ThreadPool::global(), n, body, grain);
-}
-
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(grain, 1);
+  parallel_for_chunks(pool, n, grain,
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) body(i);
+                      });
+}
 
-  const std::size_t workers = pool.thread_count();
-  if (workers <= 1 || n <= grain || pool.on_worker_thread()) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  // Shared cursor: workers grab `grain`-sized chunks until exhausted.
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  auto first_error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
-
-  const std::size_t tasks = std::min(workers, (n + grain - 1) / grain);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    pool.submit([cursor, first_error, error_mutex, n, grain, &body] {
-      try {
-        for (;;) {
-          const std::size_t start = cursor->fetch_add(grain);
-          if (start >= n) break;
-          const std::size_t end = std::min(n, start + grain);
-          for (std::size_t i = start; i < end; ++i) body(i);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!*first_error) *first_error = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-
-  if (*first_error) std::rethrow_exception(*first_error);
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+                  std::size_t grain) {
+  parallel_for(ThreadPool::global(), n, body, grain);
 }
 
 }  // namespace linkpad::util

@@ -6,19 +6,21 @@
 // stay independent of thread count. Chunks are handed out via an atomic
 // cursor (self-balancing for uneven item costs, e.g. different sample sizes).
 //
-// Two dispatch shapes are offered (the execution-policy seam, in the style
-// of ROOT FitUtil's ExecutionPolicy + redFunction pattern):
-//  * parallel_for        — body(i) per index; the simple per-item form.
+// One claim loop, two shapes:
 //  * parallel_for_chunks — body(slot, begin, end) per grain-sized run of
 //    indices. `slot` identifies the executing task (stable for that task's
-//    whole drain loop), so callers keep per-slot scratch — engines, spec
-//    copies, partial reductions — alive across every chunk the task claims
-//    instead of rebuilding state per item. Pair with tree_reduce to fold
-//    the per-chunk partials deterministically.
+//    whole drain loop), so callers keep per-slot scratch — spec copies,
+//    partial reductions — alive across every chunk the task claims instead
+//    of rebuilding state per item. Pair with tree_reduce to fold the
+//    per-chunk partials deterministically.
+//  * parallel_for        — body(i) per index, run over parallel_for_chunks.
 //
 // Both are nested-dispatch safe: a call issued from inside a task of the
 // SAME pool runs inline on that worker (waiting on the pool from one of its
 // own tasks would deadlock — the waiting task itself counts as in flight).
+// On a one-thread pool both run inline on the caller, chunks in ascending
+// order as slot 0: the reference schedule every wider pool is bit-compared
+// against.
 #pragma once
 
 #include <algorithm>
@@ -35,18 +37,6 @@
 #include "util/check.hpp"
 
 namespace linkpad::util {
-
-/// How a sharded workload is dispatched. Results must never depend on the
-/// choice — it selects a schedule, not a computation.
-enum class ExecutionPolicy {
-  /// Inline on the calling thread; no pool, no atomics. The reference
-  /// schedule every parallel policy is bit-compared against.
-  kSerial,
-  /// Chunked dispatch with per-slot scratch reuse and a caller-side
-  /// reduction of per-chunk partials (parallel_for_chunks + tree_reduce).
-  /// The right shape for many cheap items (population flows).
-  kChunked,
-};
 
 /// A simple fixed-size worker pool executing std::function tasks.
 class ThreadPool {
@@ -87,28 +77,17 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs body(i) for i in [0, n) across the global pool (or inline when n is
-/// small / only one hardware thread / the caller is already a pool worker).
-/// Exceptions from the body propagate to the caller (first one wins).
-/// `grain` is the chunk size handed to a worker at a time; pick larger
-/// grains for cheap bodies.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
-
-/// Same, over an explicit pool (e.g. a sweep's dedicated pool). Results are
-/// independent of the pool size — each index derives its own state.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
-
-/// parallel_for over [0, n) collecting results into a vector (slot i is
-/// written only by the task computing item i — no synchronization needed).
-template <typename T, typename Fn>
-std::vector<T> parallel_map(std::size_t n, Fn&& fn, std::size_t grain = 1) {
-  std::vector<T> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = fn(i); }, grain);
-  return out;
+/// Runs fn(pool) on the pool a `threads` knob names: 0 = the process-wide
+/// ThreadPool::global(), anything else a dedicated pool of that many
+/// threads that lives for the call.
+template <typename Fn>
+void with_pool(std::size_t threads, Fn&& fn) {
+  if (threads == 0) {
+    fn(ThreadPool::global());
+    return;
+  }
+  ThreadPool pool(threads);
+  fn(pool);
 }
 
 /// Upper bound on the `slot` values parallel_for_chunks passes for a given
@@ -175,6 +154,18 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t n, std::size_t grain,
 
   if (first_error) std::rethrow_exception(first_error);
 }
+
+/// Per-index dispatch: body(i) for i in [0, n), `grain` indices per claim
+/// (0 claims one), through parallel_for_chunks: same inline rules, same
+/// first-wins exception propagation. Results are independent of the pool
+/// size when each index derives its own state.
+void parallel_for(ThreadPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body,
+                  std::size_t grain = 1);
+
+/// Same, over ThreadPool::global().
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+                  std::size_t grain = 1);
 
 /// Deterministic fixed-shape binary tree reduction: adjacent pairs fold
 /// level by level (merge(left, right) folds right INTO left) until one item

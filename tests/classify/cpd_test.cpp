@@ -36,7 +36,6 @@
 #include "stats/distributions.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace linkpad::classify {
 namespace {
@@ -443,7 +442,7 @@ core::PopulationSpec population_spec() {
 TEST(CpdPopulation, AggregatesPresentAndBitIdenticalAcrossThreadCounts) {
   const auto reference_options = [] {
     core::SweepOptions options;
-    options.execution = util::ExecutionPolicy::kSerial;
+    options.threads = 1;
     return options;
   }();
   const auto reference =
@@ -463,10 +462,9 @@ TEST(CpdPopulation, AggregatesPresentAndBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(reference_json.find("\"cpd\""), std::string::npos);
 
   const std::size_t hw = std::max(2u, std::thread::hardware_concurrency());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
                                     std::size_t{hw}}) {
     core::SweepOptions options;
-    options.execution = util::ExecutionPolicy::kChunked;
     options.threads = threads;
     const auto run = core::PopulationEngine(core::sim_backend(), options)
                          .run(population_spec());

@@ -97,7 +97,7 @@ TEST(Experiment, SweepPreservesOrderAndMatchesSingleRuns) {
       quick_spec(classify::FeatureKind::kSampleMean),
       quick_spec(classify::FeatureKind::kSampleVariance),
   };
-  const auto sweep = SweepRunner().run(specs).results;
+  const auto sweep = SweepRunner().run(specs);
   ASSERT_EQ(sweep.size(), 2u);
   EXPECT_DOUBLE_EQ(sweep[0].primary().detection_rate,
                    ExperimentEngine().run(specs[0]).primary().detection_rate);

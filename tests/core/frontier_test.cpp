@@ -218,24 +218,6 @@ TEST(FrontierMonotone, ToleranceBoundsTotalRiseNotPerRungDrift) {
   EXPECT_FALSE(detection_monotone_nonincreasing(ladder({0.9, 0.95}), 0.025));
 }
 
-TEST(FrontierMisuse, EarlyStopThrowsNamedInvalidArgumentBeforeSweeping) {
-  // Regression: run_frontier used to trip a bare all_completed() assertion
-  // deep in the run when early_stop skipped points; the misuse must be
-  // named at the API boundary, before any simulation cost is paid.
-  const auto spec = golden_ladder_spec();
-  SweepOptions options;
-  options.early_stop = [](std::size_t, const ExperimentResult&) {
-    return true;
-  };
-  try {
-    (void)run_frontier(spec, sim_backend(), options);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("early_stop"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("run_frontier"), std::string::npos);
-  }
-}
-
 /// Build a FrontierResult with the given (overhead, detection) coordinates
 /// and mark Pareto efficiency exactly the way run_frontier does.
 FrontierResult marked_result(

@@ -489,22 +489,23 @@ PopulationSpec wide_spec(std::size_t flows) {
 
 TEST(PopulationReduction, TreeMatchesSerialReplayAcrossThreadAndFlowCounts) {
   // The chunked dispatch + fixed-shape tree reduction must reproduce the
-  // inline serial schedule bit for bit — per-flow results, every aggregate
-  // point (order-sensitive P² sketches included), and the overhead fields —
-  // at thread counts {1, 2, hw} for flow counts spanning one chunk, a
-  // partial chunk, a ragged multi-chunk run, and a wide run.
+  // one-thread schedule (every chunk inline on the caller, in order) bit
+  // for bit — per-flow results, every aggregate point (order-sensitive P²
+  // sketches included), and the overhead fields — at thread counts
+  // {2, 4, hw} for flow counts spanning one chunk, a partial chunk, a
+  // ragged multi-chunk run, and a wide run.
   const std::size_t hardware =
       std::max<std::size_t>(std::thread::hardware_concurrency(), 2);
   for (const std::size_t flows :
        {std::size_t{1}, std::size_t{2}, std::size_t{33}, std::size_t{1000}}) {
     const auto spec = flows >= 1000 ? wide_spec(flows) : small_spec(flows);
 
-    SweepOptions serial;
-    serial.execution = util::ExecutionPolicy::kSerial;
-    const auto reference = PopulationEngine(sim_backend(), serial).run(spec);
+    SweepOptions one_thread;
+    one_thread.threads = 1;
+    const auto reference = PopulationEngine(sim_backend(), one_thread).run(spec);
     ASSERT_EQ(reference.flows(), flows);
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
                                       hardware}) {
       SweepOptions options;
       options.threads = threads;
@@ -521,7 +522,7 @@ TEST(PopulationReduction, GrainNeverPerturbsResults) {
   // with it the reduction tree's leaf count — must not matter.
   const auto spec = small_spec(33);
   SweepOptions reference_options;
-  reference_options.execution = util::ExecutionPolicy::kSerial;
+  reference_options.threads = 1;
   const auto reference =
       PopulationEngine(sim_backend(), reference_options).run(spec);
   for (const std::size_t grain :
@@ -595,11 +596,6 @@ TEST(Population, RejectsMalformedSpecs) {
   auto zero = small_spec(1);
   zero.flows = 0;
   EXPECT_THROW((void)PopulationEngine().run(zero), ContractViolation);
-
-  SweepOptions early;
-  early.early_stop = [](std::size_t, const ExperimentResult&) { return true; };
-  EXPECT_THROW((void)PopulationEngine(sim_backend(), early),
-               ContractViolation);
 }
 
 TEST(Population, RefusesExtraDetectorsByName) {

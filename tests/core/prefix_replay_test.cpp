@@ -226,9 +226,9 @@ TEST(PrefixReplayWorkSharing, EightPointGridSimulatesOnce) {
   const std::size_t test_capacity = 2 * 3000;
 
   CountingBackend backend;
-  const auto report = SweepRunner(backend).run(specs);
-  ASSERT_TRUE(report.all_completed());
-  EXPECT_EQ(report.results[0].by_sample_size.size(), 8u);
+  const auto results = SweepRunner(backend).run(specs);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].by_sample_size.size(), 8u);
   EXPECT_EQ(backend.opens(), 4u);  // classes × {train, test} — once, total
   EXPECT_EQ(backend.piats(), 2 * (train_capacity + test_capacity));
 }
@@ -245,8 +245,8 @@ TEST(PrefixReplayWorkSharing, AutoBinWidthAddsNoSimulationPass) {
   grid.seed = 78;
 
   CountingBackend backend;
-  const auto report = SweepRunner(backend).run(grid.expand());
-  ASSERT_TRUE(report.all_completed());
+  const auto results = SweepRunner(backend).run(grid.expand());
+  ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(backend.opens(), 4u);
   EXPECT_EQ(backend.piats(), 2 * (2 * 3000 + 2 * 3000));
 }
@@ -265,16 +265,16 @@ TEST(PrefixReplay, BitIdenticalAcrossSweepThreadCounts) {
   SweepOptions serial;
   serial.threads = 1;
   const auto reference = SweepRunner(sim_backend(), serial).run(specs);
-  ASSERT_TRUE(reference.all_completed());
+  ASSERT_EQ(reference.size(), specs.size());
 
   for (const std::size_t threads : {std::size_t{4}, std::size_t{16}}) {
     SweepOptions options;
     options.threads = threads;
-    const auto report = SweepRunner(sim_backend(), options).run(specs);
-    ASSERT_TRUE(report.all_completed());
+    const auto results = SweepRunner(sim_backend(), options).run(specs);
+    ASSERT_EQ(results.size(), specs.size());
     for (std::size_t p = 0; p < specs.size(); ++p) {
-      const auto& a = reference.results[p].by_sample_size;
-      const auto& b = report.results[p].by_sample_size;
+      const auto& a = reference[p].by_sample_size;
+      const auto& b = results[p].by_sample_size;
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i) {
         expect_bitwise_equal(a[i].r_hat, b[i].r_hat, "r_hat");

@@ -7,7 +7,6 @@
 //    seeds, and the fixed-bank column reproduces run_frontier bit-for-bit
 //    (tuning happened on a different stream, scoring is unbiased by it);
 //  * tuned detection ≥ fixed detection on every golden point;
-//  * the early_stop misuse throws the named std::invalid_argument;
 //  * the tuner's stored capture: scores bitwise equal to re-simulating
 //    every candidate, one backend open per (class, salt) per call, and
 //    reads past the store either a named error or the backend's own
@@ -220,30 +219,6 @@ TEST(TuneAdversary, CpdCandidateRidesTheBank) {
   EXPECT_TRUE(cpd_score == 0.5 || cpd_score == 1.0) << cpd_score;
 }
 
-TEST(RobustMisuse, EarlyStopThrowsNamedInvalidArgument) {
-  const auto spec = golden_spec();
-  SweepOptions options;
-  options.early_stop = [](std::size_t, const ExperimentResult&) {
-    return true;
-  };
-  try {
-    (void)run_robust_frontier(spec, sim_backend(), options);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("early_stop"), std::string::npos);
-  }
-
-  TuneOptions tune;
-  tune.sweep.early_stop = options.early_stop;
-  try {
-    (void)tune_adversary(spec.frontier.scenario, spec.frontier.plan,
-                         spec.space, 1, sim_backend(), tune);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("early_stop"), std::string::npos);
-  }
-}
-
 // ------------------------------------------------------ stored capture
 
 /// Counts the opens of each (class, salt) key through a wrapped backend.
@@ -327,7 +302,7 @@ TuneResult tune_by_resimulation(const Scenario& scenario,
   const auto evaluate = [&](const std::vector<std::size_t>& survivors,
                             std::size_t train_windows,
                             std::size_t test_windows) {
-    const auto report =
+    const auto results =
         SweepRunner(backend, options.sweep)
             .run(survivors.size(), [&](std::size_t i) {
               const classify::DetectorSpec& candidate =
@@ -346,7 +321,7 @@ TuneResult tune_by_resimulation(const Scenario& scenario,
             });
     std::vector<double> scores(survivors.size());
     for (std::size_t i = 0; i < survivors.size(); ++i) {
-      scores[i] = report.results[i].detectors.at(0).attack_score;
+      scores[i] = results[i].detectors.at(0).attack_score;
     }
     result.rounds += 1;
     result.evaluations += survivors.size();

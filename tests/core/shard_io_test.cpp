@@ -12,12 +12,14 @@
 //  3. Durability — a worker killed mid-chunk leaves a torn tail; parse
 //     tolerates it, resume recomputes only the missing chunks, and the
 //     resumed shard file converges to the uninterrupted bytes exactly.
-//  4. Self-checking merges — missing chunks, foreign campaigns and format
-//     version drift are loud errors, never quietly wrong numbers.
+//  4. Self-checking merges — missing chunks, foreign campaigns, chunks that
+//     disagree on the change-point layout, values finalize cannot fold and
+//     format version drift are loud errors, never quietly wrong numbers.
 //  5. Pinned bytes — a golden shard literal and the digest of the seeded
 //     corpus fail on any renamed or reordered key.
 //  6. Hostile input — crafted fields and 10,000 seeded mutations of real
-//     shard text parse or throw std::invalid_argument, nothing else.
+//     shard text parse or throw std::invalid_argument, nothing else; what
+//     parses also merges and renders as result JSON, or throws the same.
 #include "core/shard_io.hpp"
 
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -216,12 +219,24 @@ ExperimentResult random_experiment_result(util::Rng& rng,
   return r;
 }
 
+/// A detection rate or dummy fraction: parse refuses anything outside
+/// [0, 1], so the edges of that range (−0 included) are the values worth
+/// seasoning with.
+double random_fraction(util::Rng& rng) {
+  const double roll = rng.uniform01();
+  if (roll < 0.05) return 0.0;
+  if (roll < 0.10) return 1.0;
+  if (roll < 0.14) return -0.0;
+  if (roll < 0.18) return std::numeric_limits<double>::denorm_min();
+  return rng.uniform01();
+}
+
 FlowOverhead random_flow_overhead(util::Rng& rng) {
   FlowOverhead o;
   o.has_cost = rng.uniform01() < 0.8;
   o.padding_bps = random_double(rng);
   o.wire_bps = random_double(rng);
-  o.dummy_fraction = random_double(rng);
+  o.dummy_fraction = random_fraction(rng);
   o.has_delay = rng.uniform01() < 0.8;
   o.delay_p95 = random_double(rng);
   return o;
@@ -276,7 +291,7 @@ PopulationShard random_shard(util::Rng& rng) {
         chunk.first_flow;
     chunk.rates.resize(axis_points);
     for (auto& row : chunk.rates) {
-      for (std::size_t f = 0; f < count; ++f) row.push_back(random_double(rng));
+      for (std::size_t f = 0; f < count; ++f) row.push_back(random_fraction(rng));
     }
     chunk.cpd_kinds = cpd_kinds;
     chunk.cpd.resize(cpd_kinds.size());
@@ -439,15 +454,15 @@ TEST(ShardRoundTrip, TwoHundredRandomAggregatesSurviveBitwise) {
 // bytes themselves: any change to them is a format change and needs a
 // kShardFormatVersion bump.
 
-// A header and one keep_per_flow chunk with CPD rows, a null `predicted`,
-// ±inf and −0, as format version 4 writes them.
+// A header and one keep_per_flow chunk with CPD rows, a null and a set
+// `predicted`, ±inf and −0, as format version 4 writes them.
 const std::string kGoldenShard =
     R"({"linkpad_shard":4,"shard_index":1,"shard_count":2,"flows":4,"grain":1,)"
     R"("sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detection_thr)"
     R"(eshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed":20)"
     R"(030324,"keep_per_flow":true})"
     "\n"
-    R"({"chunk":1,"first_flow":1,"rates":[["3fe0000000000000"],["7ff0000000000)"
+    R"({"chunk":1,"first_flow":1,"rates":[["3fe0000000000000"],["3fee000000000)"
     R"(000"]],"overhead":[{"has_cost":true,"padding_bps":"41024f8000000000","w)"
     R"(ire_bps":"41286a0000000000","dummy_fraction":"8000000000000000","has_de)"
     R"(lay":false,"delay_p95":"0000000000000000"}],"cpd_kinds":[0,1],"cpd":[[{)"
@@ -455,24 +470,29 @@ const std::string kGoldenShard =
     R"(000000000000"}],[{"detected":false,"n_at_detection":0,"false_alarms":0,)"
     R"("threshold":"7ff0000000000000"}]],"per_flow":[{"piat":["3f847ae147ae147)"
     R"(b","3f847ae147ae147b","3e112e0be826d695","3e312e0be826d695"],"by_sample)"
-    R"(_size":[{"n":40,"train":3,"test":2,"r_hat":"7ff0000000000000","per_feat)"
-    R"(ure":[{"feature":2,"rate":"3fee000000000000","ci":{"estimate":"3fee0000)"
-    R"(00000000","lo":"8000000000000000","hi":"3ff0000000000000"},"confusion":)"
-    R"({"classes":2,"counts":[7,1,0,8]},"predicted":null}]}],"detectors":[{"na)"
-    R"(me":"cusum","score":"3ff0000000000000","confusion":{"classes":2,"counts)"
-    R"(":[0,0,0,0]},"cpd":{"kind":0,"threshold":"4011000000000000","detected":)"
-    R"(true,"n_at_detection":137,"false_alarms":2}},{"name":"adaptive-ewma","s)"
-    R"(core":"3fe0000000000000","confusion":{"classes":2,"counts":[0,0,0,0]},")"
-    R"(cpd":{"kind":1,"threshold":"7ff0000000000000","detected":false,"n_at_de)"
-    R"(tection":0,"false_alarms":0}}],"overhead_per_class":[{"payload":1000,"d)"
-    R"(ummy":250,"suppressed":3,"wire_bps":"41286a0000000000","padding_bps":"4)"
-    R"(1024f8000000000","dummy_fraction":"3fc999999999999a","delay_mean":"3f50)"
-    R"(624dd2f1a9fc","delay_p50":"3f40624dd2f1a9fc","delay_p95":"8000000000000)"
-    R"(000","delay_p99":"7ff0000000000000"}]}]})"
+    R"(_size":[{"n":20,"train":6,"test":6,"r_hat":"fff0000000000000","per_feat)"
+    R"(ure":[{"feature":2,"rate":"3fe0000000000000","ci":{"estimate":"3fe00000)"
+    R"(00000000","lo":"3fd0000000000000","hi":"3fe8000000000000"},"confusion":)"
+    R"({"classes":2,"counts":[3,3,3,3]},"predicted":"3fe4000000000000"}]},{"n")"
+    R"(:40,"train":3,"test":2,"r_hat":"7ff0000000000000","per_feature":[{"feat)"
+    R"(ure":2,"rate":"3fee000000000000","ci":{"estimate":"3fee000000000000","l)"
+    R"(o":"8000000000000000","hi":"3ff0000000000000"},"confusion":{"classes":2)"
+    R"(,"counts":[7,1,0,8]},"predicted":null}]}],"detectors":[{"name":"cusum",)"
+    R"("score":"3ff0000000000000","confusion":{"classes":2,"counts":[0,0,0,0]})"
+    R"(,"cpd":{"kind":0,"threshold":"4011000000000000","detected":true,"n_at_d)"
+    R"(etection":137,"false_alarms":2}},{"name":"adaptive-ewma","score":"3fe00)"
+    R"(00000000000","confusion":{"classes":2,"counts":[0,0,0,0]},"cpd":{"kind")"
+    R"(:1,"threshold":"7ff0000000000000","detected":false,"n_at_detection":0,")"
+    R"(false_alarms":0}}],"overhead_per_class":[{"payload":1000,"dummy":250,"s)"
+    R"(uppressed":3,"wire_bps":"41286a0000000000","padding_bps":"41024f8000000)"
+    R"(000","dummy_fraction":"3fc999999999999a","delay_mean":"3f50624dd2f1a9fc)"
+    R"(","delay_p50":"3f40624dd2f1a9fc","delay_p95":"8000000000000000","delay_)"
+    R"(p99":"7ff0000000000000"}]}]})"
     "\n";
 
-// The same campaign as format version 3 wrote it, with ExperimentResult's
-// copies of its top point and a `cpd` array on every SampleSizePoint.
+// The same campaign header as format version 3 wrote it, with
+// ExperimentResult's copies of its top point and a `cpd` array on every
+// SampleSizePoint.
 const std::string kGoldenShardV3 =
     R"({"linkpad_shard":3,"shard_index":1,"shard_count":2,"flows":4,"grain":1,)"
     R"("sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detection_thr)"
@@ -541,8 +561,8 @@ TEST(ShardBytes, SeededCorpusDigestIsPinned) {
     util::Rng rng(9000 + seed);
     corpus += serialize_shard(random_shard(rng));
   }
-  EXPECT_EQ(corpus.size(), 825372u);
-  EXPECT_EQ(fnv1a(corpus), 0x62012dff6c15d6a1ULL);
+  EXPECT_EQ(corpus.size(), 821514u);
+  EXPECT_EQ(fnv1a(corpus), 0xcac328c5bc7ac27bULL);
 }
 
 // ------------------------------------------------- N-shard bit-identity
@@ -730,6 +750,36 @@ TEST(ShardMerge, MissingShardIsALoudError) {
   }
 }
 
+TEST(ShardMerge, MismatchedCpdLayoutIsALoudError) {
+  // The header does not carry the change-point layout, so chunks that
+  // disagree on it parse — from two files of one campaign, or within one
+  // crafted file — and the merge must refuse them by name before the
+  // reduction concatenates CPD rows by position.
+  const auto spec = shard_spec(4, 7);
+  const auto add_cusum_row = [](ChunkAggregate& chunk) {
+    chunk.cpd_kinds.push_back(classify::CpdKind::kCusum);
+    chunk.cpd.emplace_back(chunk.flow_count(), FlowCpd{});
+  };
+  auto two_files = run_all_shards(spec, 2, 1, 1);
+  for (auto& chunk : two_files[1].chunks) add_cusum_row(chunk);
+  auto one_file = run_all_shards(spec, 1, 1, 1);
+  add_cusum_row(one_file[0].chunks[2]);
+
+  for (const auto& shards : {two_files, one_file}) {
+    std::vector<PopulationShard> parsed;
+    for (const auto& shard : shards) {
+      parsed.push_back(parse_shard(serialize_shard(shard)));
+    }
+    try {
+      (void)merge_shards(std::move(parsed));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("cpd_kinds"), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 TEST(ShardMerge, ForeignCampaignIsALoudError) {
   auto a = run_all_shards(shard_spec(4, 1), 2, 1, 1);
   auto b = run_all_shards(shard_spec(4, 2), 2, 1, 1);
@@ -837,31 +887,96 @@ TEST(ShardParse, OutOfRangeEnumsAreNamedErrors) {
   }
 }
 
+TEST(ShardParse, ValuesFinalizeCannotFoldAreNamedErrors) {
+  // Each craft keeps the golden's layout but carries a value the merge's
+  // finalize or population_result_json cannot use: a rate or a dummy
+  // fraction outside [0, 1] (NaN included), a kept result off the header's
+  // sample-size axis, or a point with no per-feature outcome to read the
+  // primary rate from.
+  const std::string rates = R"("rates":[["3fe0000000000000"])";
+  const std::string n20 = R"("by_sample_size":[{"n":20,)";
+  const std::string n20_features =
+      R"("per_feature":[{"feature":2,"rate":"3fe0000000000000","ci":{"estim)"
+      R"(ate":"3fe0000000000000","lo":"3fd0000000000000","hi":"3fe8000000000)"
+      R"(000"},"confusion":{"classes":2,"counts":[3,3,3,3]},"predicted":"3fe4)"
+      R"(000000000000"}])";
+  const std::size_t axis_begin = kGoldenShard.find(n20);
+  const std::size_t axis_end = kGoldenShard.find(R"(,"detectors")");
+  ASSERT_NE(axis_begin, std::string::npos);
+  ASSERT_NE(axis_end, std::string::npos);
+  const std::string axis =
+      kGoldenShard.substr(axis_begin, axis_end - axis_begin);
+  const std::string n40_only =
+      R"("by_sample_size":[)" + axis.substr(axis.find(R"({"n":40,)"));
+
+  for (const auto& [original, crafted, named] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {rates, R"("rates":[["7ff8000000000000"])", "outside [0, 1]"},
+           {rates, R"("rates":[["fff8000000000001"])", "outside [0, 1]"},
+           {rates, R"("rates":[["3ff0000000000001"])", "outside [0, 1]"},
+           {rates, R"("rates":[["bff0000000000000"])", "outside [0, 1]"},
+           {R"("dummy_fraction":"8000000000000000")",
+            R"("dummy_fraction":"7ff8000000000000")", "dummy fraction"},
+           {R"("dummy_fraction":"8000000000000000")",
+            R"("dummy_fraction":"3ff0000000000001")", "dummy fraction"},
+           {axis, R"("by_sample_size":[])", "sample-size axis"},
+           {axis, n40_only, "sample-size axis"},
+           {n20, R"("by_sample_size":[{"n":30,)", "sample-size axis"},
+           {n20_features, R"("per_feature":[])", "no per_feature"},
+           {R"("sample_sizes":[20,40])", R"("sample_sizes":[])",
+            "empty sample-size axis"},
+       }) {
+    std::string text = kGoldenShard;
+    const std::size_t at = text.find(original);
+    ASSERT_NE(at, std::string::npos) << original;
+    text.replace(at, original.size(), crafted);
+    try {
+      (void)parse_shard(text);
+      FAIL() << "expected std::invalid_argument for " << crafted;
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(named), std::string::npos)
+          << err.what();
+    }
+  }
+  // The range is closed: exact 0, −0 and 1 are rates.
+  for (const std::string edge : {"0000000000000000", "8000000000000000",
+                                 "3ff0000000000000"}) {
+    std::string text = kGoldenShard;
+    text.replace(text.find(rates), rates.size(),
+                 R"("rates":[[")" + edge + R"("])");
+    EXPECT_NO_THROW((void)parse_shard(text)) << edge;
+  }
+}
+
 // ----------------------------------------------------------- mutation fuzz
 
-/// Real shard text: the golden, an exhaustive campaign with a CUSUM
-/// detector and per-flow results, and a sampled campaign without them.
-std::vector<std::string> fuzz_sources() {
+/// Real shard text: the golden, then shard 1 of 2 of an exhaustive
+/// campaign with a CUSUM detector and per-flow results and of a sampled
+/// campaign without them. `siblings` receives shard 0 of both campaigns,
+/// so a parsed mutant can be merged the way `population_shard --merge`
+/// would merge it.
+std::vector<std::string> fuzz_sources(std::vector<PopulationShard>* siblings) {
   std::vector<std::string> sources = {kGoldenShard};
   SweepOptions options;
   options.threads = 1;
   options.grain = 2;
-  options.shard_index = 1;
   options.shard_count = 2;
 
   auto exhaustive = shard_spec(6, 11);
   classify::DetectorSpec cusum;
   cusum.cpd.emplace();
   exhaustive.experiment.plan.detectors = {cusum};
-  sources.push_back(serialize_shard(
-      run_population_shard(exhaustive, sim_backend(), options)));
-
   auto sampled = shard_spec(40, 12);
   sampled.sample_flows = 6;
   sampled.sample_round = 2;
   sampled.keep_per_flow = false;
-  sources.push_back(
-      serialize_shard(run_population_shard(sampled, sim_backend(), options)));
+  for (const PopulationSpec& spec : {exhaustive, sampled}) {
+    options.shard_index = 1;
+    sources.push_back(
+        serialize_shard(run_population_shard(spec, sim_backend(), options)));
+    options.shard_index = 0;
+    siblings->push_back(run_population_shard(spec, sim_backend(), options));
+  }
   return sources;
 }
 
@@ -929,19 +1044,34 @@ TEST(ShardFuzz, MutatedShardsParseOrFailByName) {
   // Shard files cross machines, so every byte sequence must either parse
   // or throw std::invalid_argument — never crash, hang or raise anything
   // else — with and without a tolerated tail. What parses re-serializes
-  // to a fixed point.
-  const auto sources = fuzz_sources();
+  // to a fixed point, and merged beside each real campaign's other shard
+  // it either renders as result JSON or is refused by name too.
+  std::vector<PopulationShard> siblings;
+  const auto sources = fuzz_sources(&siblings);
   util::Rng rng(20030324);
   std::size_t parsed = 0;
   std::size_t refused = 0;
+  std::size_t merged = 0;
   for (int variant = 0; variant < 10000; ++variant) {
     const std::string text = mutate(sources, rng);
     for (const bool tolerate : {false, true}) {
       try {
-        const std::string once = serialize_shard(parse_shard(text, tolerate));
+        const PopulationShard shard = parse_shard(text, tolerate);
+        const std::string once = serialize_shard(shard);
         EXPECT_EQ(serialize_shard(parse_shard(once)), once)
             << "variant " << variant;
         ++parsed;
+        for (const PopulationShard& sibling : siblings) {
+          try {
+            (void)population_result_json(merge_shards({sibling, shard}));
+            ++merged;
+          } catch (const std::invalid_argument&) {
+          } catch (const std::exception& err) {
+            ADD_FAILURE() << "variant " << variant << " (tolerate "
+                          << tolerate << ") merged into something else: "
+                          << err.what();
+          }
+        }
       } catch (const std::invalid_argument&) {
         ++refused;
       } catch (const std::exception& err) {
@@ -950,9 +1080,10 @@ TEST(ShardFuzz, MutatedShardsParseOrFailByName) {
       }
     }
   }
-  // Both outcomes must be common, or the mutations test nothing.
+  // Every outcome must be common, or the mutations test nothing.
   EXPECT_GT(parsed, 1000u);
   EXPECT_GT(refused, 1000u);
+  EXPECT_GT(merged, 500u);
 }
 
 TEST(ShardCheckpoint, BytesIndependentOfThreadCount) {

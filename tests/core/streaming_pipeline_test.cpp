@@ -134,12 +134,12 @@ TEST(StreamingEquivalence, SweepPoolsMatchBatchReferences) {
                                     std::size_t{16}}) {
     SweepOptions options;
     options.threads = threads;
-    const auto report = SweepRunner(sim_backend(), options).run(specs);
-    ASSERT_TRUE(report.all_completed());
+    const auto results = SweepRunner(sim_backend(), options).run(specs);
+    ASSERT_EQ(results.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       for (std::size_t f = 0; f < kAllFeatures.size(); ++f) {
         expect_same_confusion(
-            report.results[i].outcome(kAllFeatures[f]).confusion,
+            results[i].outcome(kAllFeatures[f]).confusion,
             references[i][f],
             classify::feature_name(kAllFeatures[f]) + " threads " +
                 std::to_string(threads));
@@ -199,9 +199,9 @@ TEST(StreamingWorkSharing, FiveFeaturePointSimulatesOnce) {
       (spec.plan.train_windows + spec.plan.test_windows) * n;
 
   CountingBackend backend;
-  const auto result = SweepRunner(backend).run({spec});
-  ASSERT_TRUE(result.all_completed());
-  EXPECT_EQ(result.results[0].top().per_feature.size(), 5u);
+  const auto results = SweepRunner(backend).run({spec});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].top().per_feature.size(), 5u);
 
   // One train + one test stream per class — NOT multiplied by the five
   // features riding the bank.
@@ -240,8 +240,8 @@ TEST(StreamingWorkSharing, CollapsedGridCutsSimulationByFeatureCount) {
   for (auto& spec : specs) spec.plan.adversary.entropy_bin_width = 3e-6;
 
   CountingBackend backend;
-  const auto report = SweepRunner(backend).run(specs);
-  ASSERT_TRUE(report.all_completed());
+  const auto results = SweepRunner(backend).run(specs);
+  ASSERT_EQ(results.size(), specs.size());
   EXPECT_EQ(backend.opens(), 4u);  // classes x {train, test}, once per point
 }
 

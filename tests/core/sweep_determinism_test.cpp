@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/piat_source.hpp"
@@ -75,27 +77,33 @@ std::vector<ExperimentSpec> eight_point_grid() {
   return grid.expand();
 }
 
+/// The reference schedule: one thread, every point inline on the caller.
+std::vector<ExperimentResult> one_thread_sweep(
+    const std::vector<ExperimentSpec>& specs) {
+  SweepOptions options;
+  options.threads = 1;
+  return SweepRunner(sim_backend(), options).run(specs);
+}
+
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(std::thread::hardware_concurrency(), 2);
+}
+
 TEST(SweepDeterminism, BitIdenticalAcrossThreadCounts) {
   const auto specs = eight_point_grid();
   ASSERT_GE(specs.size(), 8u);
-
-  SweepOptions one_thread;
-  one_thread.threads = 1;
-  SweepOptions four_threads;
-  four_threads.threads = 4;
-  SweepOptions sixteen_threads;
-  sixteen_threads.threads = 16;
-
-  const auto serial = SweepRunner(sim_backend(), one_thread).run(specs);
-  const auto par4 = SweepRunner(sim_backend(), four_threads).run(specs);
-  const auto par16 = SweepRunner(sim_backend(), sixteen_threads).run(specs);
-
-  ASSERT_TRUE(serial.all_completed());
-  ASSERT_TRUE(par4.all_completed());
-  ASSERT_TRUE(par16.all_completed());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(serial.results[i], par4.results[i]);
-    expect_identical(serial.results[i], par16.results[i]);
+  const auto reference = one_thread_sweep(specs);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
+                                    std::size_t{16}, hardware_threads()}) {
+    SweepOptions options;
+    options.threads = threads;
+    const auto results = SweepRunner(sim_backend(), options).run(specs);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " point " +
+                   std::to_string(i));
+      expect_identical(reference[i], results[i]);
+    }
   }
 }
 
@@ -106,30 +114,28 @@ TEST(SweepDeterminism, SharedPoolMatchesDedicatedPools) {
   two.threads = 2;
   const auto dedicated = SweepRunner(sim_backend(), two).run(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(shared.results[i], dedicated.results[i]);
+    expect_identical(shared[i], dedicated[i]);
   }
 }
 
-TEST(SweepDeterminism, ExecutionPoliciesAgreeBitwise) {
-  // The execution-policy seam only changes HOW points are dispatched —
-  // inline loop or grain-aligned chunks with per-slot engines — never WHAT
-  // they compute.
+TEST(SweepDeterminism, RaggedGrainChunksMatchOneThreadBitwise) {
+  // The grain only changes how many points a worker claims at a time —
+  // here a ragged partition, 8 points -> chunks of 3, 3, 2 — never what
+  // any point computes.
   const auto specs = eight_point_grid();
-
-  SweepOptions serial;
-  serial.execution = util::ExecutionPolicy::kSerial;
-  SweepOptions chunked;
-  chunked.execution = util::ExecutionPolicy::kChunked;
-  chunked.threads = 4;
-  chunked.grain = 3;  // ragged: 8 points -> chunks of 3, 3, 2
-
-  const auto reference = SweepRunner(sim_backend(), serial).run(specs);
-  const auto chunks = SweepRunner(sim_backend(), chunked).run(specs);
-
-  ASSERT_TRUE(reference.all_completed());
-  ASSERT_TRUE(chunks.all_completed());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(reference.results[i], chunks.results[i]);
+  const auto reference = one_thread_sweep(specs);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{4}, hardware_threads()}) {
+    SweepOptions chunked;
+    chunked.threads = threads;
+    chunked.grain = 3;
+    const auto results = SweepRunner(sim_backend(), chunked).run(specs);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " point " +
+                   std::to_string(i));
+      expect_identical(reference[i], results[i]);
+    }
   }
 }
 
@@ -137,7 +143,7 @@ TEST(SweepDeterminism, LegacyRunSweepMatchesSingleRuns) {
   // A default SweepRunner's results (what the removed run_sweep wrapper
   // returned) equal independent single-engine runs.
   const auto specs = eight_point_grid();
-  const auto swept = SweepRunner().run(specs).results;
+  const auto swept = SweepRunner().run(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expect_identical(swept[i], ExperimentEngine().run(specs[i]));
   }
@@ -145,9 +151,9 @@ TEST(SweepDeterminism, LegacyRunSweepMatchesSingleRuns) {
 
 TEST(SweepRunnerTest, ProgressCoversEveryPoint) {
   const auto specs = eight_point_grid();
-  // Progress now fires OUTSIDE the runner's lock (so a slow observer can't
-  // stall the sweep) — callbacks may arrive concurrently and the observer
-  // owns its own synchronization.
+  // Progress fires from the workers outside any lock (so a slow observer
+  // can't stall the sweep) — callbacks may arrive concurrently and the
+  // observer owns its own synchronization.
   std::mutex mutex;
   std::vector<std::size_t> done_values;
   SweepOptions options;
@@ -157,32 +163,14 @@ TEST(SweepRunnerTest, ProgressCoversEveryPoint) {
     const std::lock_guard<std::mutex> lock(mutex);
     done_values.push_back(done);
   };
-  const auto report = SweepRunner(sim_backend(), options).run(specs);
-  EXPECT_TRUE(report.all_completed());
+  const auto results = SweepRunner(sim_backend(), options).run(specs);
+  EXPECT_EQ(results.size(), specs.size());
   EXPECT_EQ(done_values.size(), specs.size());
   // Every count 1..N is reported exactly once, though possibly out of order.
   std::sort(done_values.begin(), done_values.end());
   for (std::size_t i = 0; i < done_values.size(); ++i) {
     EXPECT_EQ(done_values[i], i + 1);
   }
-}
-
-TEST(SweepRunnerTest, EarlyStopSkipsRemainingPoints) {
-  // Serial pool: points run in order, so stopping after point 2 must leave
-  // later points un-run.
-  const auto specs = eight_point_grid();
-  SweepOptions options;
-  options.threads = 1;
-  options.early_stop = [](std::size_t index, const ExperimentResult&) {
-    return index >= 2;
-  };
-  const auto report = SweepRunner(sim_backend(), options).run(specs);
-  EXPECT_FALSE(report.all_completed());
-  EXPECT_LT(report.completed_count, specs.size());
-  EXPECT_GE(report.completed_count, 3u);  // points 0..2 ran
-  std::size_t flagged = 0;
-  for (const auto c : report.completed) flagged += c;
-  EXPECT_EQ(flagged, report.completed_count);
 }
 
 TEST(SweepGridTest, ExpandsRowMajorWithDistinctSeeds) {

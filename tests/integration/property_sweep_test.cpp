@@ -150,7 +150,7 @@ TEST(ParallelReproducibility, SweepEqualsSerialExecution) {
     spec.seed = 100 + static_cast<std::uint64_t>(i);
     specs.push_back(std::move(spec));
   }
-  const auto parallel = core::SweepRunner().run(specs).results;
+  const auto parallel = core::SweepRunner().run(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto serial = core::ExperimentEngine().run(specs[i]);
     EXPECT_DOUBLE_EQ(parallel[i].primary().detection_rate,

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace linkpad::util {
@@ -65,16 +67,6 @@ TEST(ParallelFor, PropagatesExceptions) {
                      if (i == 57) throw std::runtime_error("boom");
                    }),
       std::runtime_error);
-}
-
-TEST(ParallelMap, CollectsResultsInOrder) {
-  auto out = parallel_map<int>(1000, [](std::size_t i) {
-    return static_cast<int>(i * i);
-  });
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
 }
 
 TEST(ParallelFor, ResultIndependentOfGrain) {
@@ -193,6 +185,39 @@ TEST(ParallelForChunks, HandlesZeroItems) {
                       [](std::size_t, std::size_t, std::size_t) {
                         FAIL() << "body must not run";
                       });
+}
+
+TEST(ParallelForChunks, OneThreadPoolRunsInlineOnTheCaller) {
+  // threads = 1 is the reference schedule every wider pool is bit-compared
+  // against: on a one-thread pool both shapes run every chunk on the
+  // calling thread, in ascending order, as slot 0.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t n = 23, grain = 4;
+  EXPECT_EQ(chunk_slots(pool, n, grain), 1u);
+
+  std::vector<std::size_t> begins;
+  parallel_for_chunks(pool, n, grain,
+                      [&](std::size_t slot, std::size_t begin, std::size_t end) {
+                        EXPECT_EQ(std::this_thread::get_id(), caller);
+                        EXPECT_EQ(slot, 0u);
+                        EXPECT_EQ(end, std::min(n, begin + grain));
+                        begins.push_back(begin);
+                      });
+  const std::vector<std::size_t> chunk_starts = {0, 4, 8, 12, 16, 20};
+  EXPECT_EQ(begins, chunk_starts);
+
+  std::vector<std::size_t> indices;
+  parallel_for(
+      pool, n,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        indices.push_back(i);
+      },
+      grain);
+  std::vector<std::size_t> ascending(n);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(indices, ascending);
 }
 
 // ----------------------------------------------------------- tree_reduce
