@@ -4,8 +4,11 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -196,6 +199,108 @@ std::span<const double> clip_to_limit(std::span<const double> batch,
   return batch.first(std::min(batch.size(), limit - offset));
 }
 
+/// Class c's training moments along its capture: one Welford chain,
+/// forked into points[i].train_stats[c] where the stream crosses point i's
+/// prefix boundary — the snapshot IS that point's training moments, with
+/// the exact adds an independent run would have performed.
+class MomentChain {
+ public:
+  MomentChain(std::vector<PrefixPoint>& points, std::size_t class_index)
+      : points_(&points), class_(class_index), crossed_(points.size(), 0) {}
+
+  /// PIATs consumed so far: the stream offset of the next batch.
+  [[nodiscard]] std::size_t offset() const { return offset_; }
+
+  void add(std::span<const double> batch) {
+    auto& points = *points_;
+    while (!batch.empty()) {
+      // Points are ascending in n, so their train limits are NOT sorted;
+      // track crossings per point instead.
+      std::size_t next_boundary = static_cast<std::size_t>(-1);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!crossed_[i] && points[i].train_limit > offset_) {
+          next_boundary = std::min(next_boundary, points[i].train_limit);
+        }
+      }
+      const std::size_t take = std::min(batch.size(), next_boundary - offset_);
+      for (const double x : batch.first(take)) running_.add(x);
+      offset_ += take;
+      batch = batch.subspan(take);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!crossed_[i] && points[i].train_limit <= offset_) {
+          points[i].train_stats[class_] = running_.fork();
+          crossed_[i] = 1;
+        }
+      }
+    }
+  }
+
+  /// A finite (live) backend may exhaust before a boundary: the prefix a
+  /// fresh run would see is everything delivered, i.e. the current state.
+  void finish() {
+    auto& points = *points_;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (!crossed_[i]) points[i].train_stats[class_] = running_.fork();
+    }
+  }
+
+ private:
+  std::vector<PrefixPoint>* points_;
+  std::size_t class_;
+  std::vector<std::uint8_t> crossed_;
+  stats::RunningStats running_;
+  std::size_t offset_ = 0;
+};
+
+/// How much of one class's test capture its producer has appended to the
+/// class's storage, and whether it has stopped: state = count << 1 |
+/// finished. The producer stores each count with release order after the
+/// collect that wrote those PIATs, so a classifier that loads it with
+/// acquire order may read that prefix while the producer appends past it.
+class PublishedCapture {
+ public:
+  /// Producer: PIATs [0, count) of the storage are written.
+  void publish(std::size_t count) {
+    state_.store(std::uint64_t{count} << 1, std::memory_order_release);
+    state_.notify_one();
+  }
+
+  /// Producer: nothing more will be appended (the stream ended, ran short
+  /// or threw).
+  void finish() {
+    state_.fetch_or(1, std::memory_order_release);
+    state_.notify_one();
+  }
+
+  /// Classifier: blocks until more than `fed` PIATs are published or the
+  /// producer has finished, and returns the published count — equal to
+  /// `fed` only once the producer has finished.
+  [[nodiscard]] std::size_t wait_past(std::size_t fed) const {
+    std::uint64_t state = state_.load(std::memory_order_acquire);
+    while ((state >> 1) == fed && (state & 1) == 0) {
+      state_.wait(state, std::memory_order_acquire);
+      state = state_.load(std::memory_order_acquire);
+    }
+    return static_cast<std::size_t>(state >> 1);
+  }
+
+ private:
+  std::atomic<std::uint64_t> state_{0};
+};
+
+/// Finishes a capture on every exit from its producer, an error included,
+/// so a classifier never waits on a producer that has stopped.
+class FinishOnExit {
+ public:
+  explicit FinishOnExit(PublishedCapture& capture) : capture_(&capture) {}
+  ~FinishOnExit() { capture_->finish(); }
+  FinishOnExit(const FinishOnExit&) = delete;
+  FinishOnExit& operator=(const FinishOnExit&) = delete;
+
+ private:
+  PublishedCapture* capture_;
+};
+
 /// The (n, mean, M2) part of RunningStats — all the prepass reads. The
 /// count is a double, as RunningStats::add converts it for each step.
 struct WelfordMoments {
@@ -367,90 +472,55 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
     banks.emplace_back(std::move(detector_specs), num_classes);
   }
 
-  // The three per-class loops below (training-capture fill, training feed,
-  // test stream) write only class c's state: its source and RNG, each
-  // detector's class-c window state and confusion row, and
-  // points[i].train_stats[c]. So they run as one pool task per class when
-  // a pool is given and the backend is replayable (parallel_for_chunks
-  // runs them inline, in class order, on a one-thread pool or from one of
-  // the pool's own workers). A live backend keeps its captures sequential,
-  // so two gateways never perturb each other's measured jitter. The
-  // buffers a task fills (training captures, batch buffers) are reserved
-  // on the calling thread: a pool worker's malloc arena keeps what its
-  // tasks allocate (DESIGN.md §2.3). body(slot, c) learns which task slot
-  // runs class c, so a loop keeps one batch buffer per slot.
+  // Every task below writes only one class's state: its source and RNG,
+  // each detector's class-c window state and confusion row, and
+  // points[i].train_stats[c]. So the tasks run on the pool when one is
+  // given and the backend is replayable; parallel_for_chunks claims them
+  // in ascending order, and runs them inline in that order on a one-thread
+  // pool or from one of the pool's own workers. A live backend keeps its
+  // captures sequential, so two gateways never perturb each other's
+  // measured jitter. The buffers a task fills (capture storage, batch
+  // buffers) are reserved on the calling thread: a pool worker's malloc
+  // arena keeps what its tasks allocate (DESIGN.md §2.3). body(slot, t)
+  // learns which task slot runs task t, so a loop keeps one batch buffer
+  // per slot.
   util::ThreadPool* const pool = backend_->replayable() ? pool_ : nullptr;
-  const std::size_t slots =
-      pool != nullptr ? util::chunk_slots(*pool, num_classes, 1) : 1;
-  auto for_each_class =
-      [&](const std::function<void(std::size_t, std::size_t)>& body) {
+  auto for_each_task =
+      [&](std::size_t tasks,
+          const std::function<void(std::size_t, std::size_t)>& body) {
         if (pool == nullptr) {
-          for (std::size_t c = 0; c < num_classes; ++c) body(0, c);
+          for (std::size_t t = 0; t < tasks; ++t) body(0, t);
           return;
         }
         util::parallel_for_chunks(
-            *pool, num_classes, 1,
+            *pool, tasks, 1,
             [&](std::size_t slot, std::size_t begin, std::size_t end) {
-              for (std::size_t c = begin; c < end; ++c) body(slot, c);
+              for (std::size_t t = begin; t < end; ++t) body(slot, t);
             });
       };
   // Reserved just before the loop that fills them, so a serial run holds
   // one batch buffer at a time, as a stream_batches call would.
   auto batch_buffers = [&](std::size_t capacity) {
+    const std::size_t slots =
+        pool != nullptr ? util::chunk_slots(*pool, num_classes, 1) : 1;
     std::vector<std::vector<double>> buffers(slots);
     for (auto& buffer : buffers) {
       buffer.reserve(std::min(batch_piats_, capacity));
     }
     return buffers;
   };
-
-  // Training feed for one class: every bank gets its clipped share of the
-  // batch, and the shared Welford moments are forked at each point's
-  // prefix boundary — the snapshot IS that point's training moments, with
-  // the exact adds an independent run would have performed.
-  std::vector<std::size_t> train_got(num_classes, 0);
-  auto feed_training = [&](std::size_t c, auto&& for_each_batch) {
-    stats::RunningStats running;
-    std::size_t offset = 0;
-    std::size_t snapshots_taken = 0;  // points are ascending in n, so their
-                                      // train limits are NOT sorted; track
-                                      // crossings per point instead.
-    std::vector<std::uint8_t> crossed(k, 0);
-    const std::size_t got = for_each_batch([&](std::span<const double> batch) {
-      for (std::size_t i = 0; i < k; ++i) {
-        const auto piece = clip_to_limit(batch, offset, points[i].train_limit);
-        if (!piece.empty()) banks[i].consume_training(c, piece);
-      }
-      // Advance the shared moments, snapshotting exactly at boundaries.
-      std::span<const double> rest = batch;
-      while (!rest.empty()) {
-        std::size_t next_boundary = static_cast<std::size_t>(-1);
-        for (std::size_t i = 0; i < k; ++i) {
-          if (!crossed[i] && points[i].train_limit > offset) {
-            next_boundary = std::min(next_boundary, points[i].train_limit);
-          }
-        }
-        const std::size_t take =
-            std::min(rest.size(), next_boundary - offset);
-        for (const double x : rest.first(take)) running.add(x);
-        offset += take;
-        rest = rest.subspan(take);
-        for (std::size_t i = 0; i < k; ++i) {
-          if (!crossed[i] && points[i].train_limit <= offset) {
-            points[i].train_stats[c] = running.fork();
-            crossed[i] = 1;
-            ++snapshots_taken;
-          }
-        }
-      }
-      return offset;
-    });
-    train_got[c] = got;
-    // A finite (live) backend may exhaust before a boundary: the prefix a
-    // fresh run would see is everything delivered, i.e. the current state.
-    if (snapshots_taken < k) {
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!crossed[i]) points[i].train_stats[c] = running.fork();
+  // Every bank's clipped share of a stream's batch at stream `offset`.
+  auto feed_banks = [&](std::size_t c, std::span<const double> batch,
+                        std::size_t offset, bool testing) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t limit =
+          testing ? points[i].test_limit : points[i].train_limit;
+      const auto piece = clip_to_limit(batch, offset, limit);
+      if (piece.empty()) continue;
+      if (testing) {
+        banks[i].consume_test(c, piece);
+      } else {
+        banks[i].consume_training(c, piece);
       }
     }
   };
@@ -468,12 +538,17 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   // but the plan's detectors ride only the top bank, so probe all of them.
   bool prepass = false;
   for (const auto& bank : banks) prepass = prepass || bank.needs_prepass();
-  if (prepass && (!backend_->replayable() || k > 1)) {
-    std::vector<std::vector<double>> train(num_classes);
-    for (auto& capture : train) capture.reserve(train_capacity);
-    for_each_class([&](std::size_t, std::size_t c) {
-      (void)pull_stream(*backend_, spec.scenario, c, spec.seed, /*salt=*/1,
-                        train_capacity, batch_piats_, train[c]);
+  const bool materialize = prepass && (!backend_->replayable() || k > 1);
+  // The materialized path's per-class capture storage: it holds the
+  // training capture, then the test capture (see the run-time phase).
+  std::vector<std::vector<double>> captures(materialize ? num_classes : 0);
+  std::vector<std::size_t> train_got(num_classes, 0);
+  if (materialize) {
+    for (auto& capture : captures) capture.reserve(train_capacity);
+    for_each_task(num_classes, [&](std::size_t, std::size_t c) {
+      train_got[c] = pull_stream(*backend_, spec.scenario, c, spec.seed,
+                                 /*salt=*/1, train_capacity, batch_piats_,
+                                 captures[c]);
     });
     // Pooled prepass σ per DISTINCT prefix budget; banks sharing a budget
     // share it.
@@ -482,18 +557,35 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
     for (const PrefixPoint& p : points) budgets.push_back(p.train_limit);
     std::sort(budgets.begin(), budgets.end());
     budgets.erase(std::unique(budgets.begin(), budgets.end()), budgets.end());
-    const auto stddevs = detail::pooled_prepass_stddevs(train, budgets);
+    const auto stddevs = detail::pooled_prepass_stddevs(captures, budgets);
     for (std::size_t i = 0; i < k; ++i) {
       const auto it = std::lower_bound(budgets.begin(), budgets.end(),
                                        points[i].train_limit);
       banks[i].finish_prepass(stddevs[static_cast<std::size_t>(
           std::distance(budgets.begin(), it))]);
     }
-    for_each_class([&](std::size_t, std::size_t c) {
-      feed_training(c, [&](auto&& sink) {
-        sink(std::span<const double>(train[c]));
-        return train[c].size();
-      });
+    // Training feed from memory: one moments chain per class, then one
+    // task per (class, bank), the largest prefix first (ties: the higher
+    // bank, which carries the plan's detectors), so the longest tasks are
+    // claimed before the short ones.
+    std::vector<std::size_t> largest_first(k);
+    for (std::size_t i = 0; i < k; ++i) largest_first[i] = k - 1 - i;
+    std::stable_sort(largest_first.begin(), largest_first.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return points[a].train_limit > points[b].train_limit;
+                     });
+    for_each_task(num_classes * (k + 1), [&](std::size_t, std::size_t t) {
+      const std::size_t c = t % num_classes;
+      const std::span<const double> capture(captures[c]);
+      if (t < num_classes) {
+        MomentChain moments(points, c);
+        moments.add(capture);
+        moments.finish();
+        return;
+      }
+      const std::size_t i = largest_first[t / num_classes - 1];
+      const auto piece = clip_to_limit(capture, 0, points[i].train_limit);
+      if (!piece.empty()) banks[i].consume_training(c, piece);
     });
   } else {
     if (prepass) {  // single point, replayable: stream both passes
@@ -506,14 +598,20 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
       }
       for (auto& bank : banks) bank.finish_prepass();
     }
+    // One task per class: every bank's clipped share of each batch, then
+    // the class's moments chain.
     auto buffers = batch_buffers(train_capacity);
-    for_each_class([&](std::size_t slot, std::size_t c) {
+    for_each_task(num_classes, [&](std::size_t slot, std::size_t c) {
       const auto source =
           backend_->open_piats(spec.scenario, c, spec.seed, /*salt=*/1);
-      feed_training(c, [&](auto&& sink) {
-        return stream_batches(*source, train_capacity, batch_piats_,
-                              buffers[slot], sink);
-      });
+      MomentChain moments(points, c);
+      train_got[c] = stream_batches(
+          *source, train_capacity, batch_piats_, buffers[slot],
+          [&](std::span<const double> batch) {
+            feed_banks(c, batch, moments.offset(), /*testing=*/false);
+            moments.add(batch);
+          });
+      moments.finish();
     });
   }
   for (std::size_t c = 0; c < num_classes; ++c) {
@@ -526,31 +624,84 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   for (auto& bank : banks) bank.train();
 
   // Run-time phase: observe the live system (fresh randomness, salt 2) and
-  // classify its windows with every detector of every point as the batches
-  // arrive — the axis shares this single observed capture too. The source
-  // is held open past the stream so its padding-cost accounting (the
-  // overhead half of the defense frontier) can be read off afterwards,
-  // into the class's own slot.
+  // classify its windows with every detector of every point — the axis
+  // shares this single observed capture too. The source is held open past
+  // the stream so its padding-cost accounting (the overhead half of the
+  // defense frontier) can be read off afterwards, into the class's own
+  // slot. A class stream ending before a point's first test window is an
+  // error.
   std::vector<std::optional<StreamOverhead>> overheads(num_classes);
-  auto buffers = batch_buffers(test_capacity);
-  for_each_class([&](std::size_t slot, std::size_t c) {
-    std::size_t offset = 0;
-    auto source = backend_->open(spec.scenario, c, spec.seed, /*salt=*/2);
-    const std::size_t got = stream_batches(
-        *source, test_capacity, batch_piats_, buffers[slot],
-        [&](std::span<const double> batch) {
-          for (std::size_t i = 0; i < k; ++i) {
-            const auto piece =
-                clip_to_limit(batch, offset, points[i].test_limit);
-            if (!piece.empty()) banks[i].consume_test(c, piece);
-          }
-          offset += batch.size();
-        });
+  auto check_test_count = [&](std::size_t got) {
     for (const PrefixPoint& p : points) {
       LINKPAD_ENSURES(std::min(got, p.test_limit) >= p.n);
     }
-    overheads[c] = source->overhead();
-  });
+  };
+  if (materialize) {
+    // The test capture passes through the class's storage, so simulating
+    // a class overlaps with classifying it: task c (a producer) appends
+    // the stream in batches and publishes each new count; task C + c (a
+    // classifier) feeds every bank each published range. Producers are
+    // tasks [0, C), so every producer is claimed before any classifier,
+    // and a classifier waits only on its own producer, which never waits
+    // (DESIGN.md §2.3). The storage grows here, on the caller, and every
+    // append stays within that capacity, so it never moves under a
+    // classifier.
+    for (auto& capture : captures) {
+      capture.clear();
+      capture.reserve(test_capacity);
+    }
+    std::vector<PublishedCapture> published(num_classes);
+    for_each_task(2 * num_classes, [&](std::size_t, std::size_t t) {
+      if (t >= num_classes) {
+        const std::size_t c = t - num_classes;
+        const double* const piats = captures[c].data();
+        for (std::size_t fed = 0;;) {
+          const std::size_t ready = published[c].wait_past(fed);
+          // The producer has finished. One that stopped short or threw
+          // raises its own error; the classifier only stops.
+          if (ready == fed) return;
+          feed_banks(c, std::span<const double>(piats + fed, ready - fed),
+                     fed, /*testing=*/true);
+          fed = ready;
+        }
+      }
+      const std::size_t c = t;
+      std::vector<double>& capture = captures[c];
+      std::unique_ptr<PiatSource> source;
+      // Declared after the source, so the classifier wakes before the
+      // source is torn down.
+      const FinishOnExit finish(published[c]);
+      source = backend_->open(spec.scenario, c, spec.seed, /*salt=*/2);
+      // PiatSource's contract (append at most `want`) keeps every append
+      // inside the reserved capacity. A collect that appends more, or
+      // moves the storage, fails here, before its count is published.
+      const double* const base = capture.data();
+      while (capture.size() < test_capacity) {
+        const std::size_t want =
+            std::min(batch_piats_, test_capacity - capture.size());
+        const std::size_t got = source->collect(want, capture);
+        LINKPAD_ENSURES(got <= want && capture.data() == base);
+        published[c].publish(capture.size());
+        if (got < want) break;  // backend exhausted
+      }
+      check_test_count(capture.size());
+      overheads[c] = source->overhead();
+    });
+  } else {
+    auto buffers = batch_buffers(test_capacity);
+    for_each_task(num_classes, [&](std::size_t slot, std::size_t c) {
+      std::size_t offset = 0;
+      auto source = backend_->open(spec.scenario, c, spec.seed, /*salt=*/2);
+      const std::size_t got = stream_batches(
+          *source, test_capacity, batch_piats_, buffers[slot],
+          [&](std::span<const double> batch) {
+            feed_banks(c, batch, offset, /*testing=*/true);
+            offset += batch.size();
+          });
+      check_test_count(got);
+      overheads[c] = source->overhead();
+    });
+  }
 
   ExperimentResult result;
   if (std::all_of(overheads.begin(), overheads.end(),

@@ -199,14 +199,17 @@ struct ExperimentResult {
 /// O(batch + k · features × window); when the axis has several entries AND
 /// an entropy Δh prepass is needed, the engine additionally materializes
 /// the training capture once (O(train capture)) instead of re-simulating
-/// it for the second pass.
+/// it for the second pass, and passes the test capture through the same
+/// per-class storage (O(max(train, test) capture)).
 ///
 /// Each class's capture, training feed and test stream touch only that
-/// class's state, so with a `pool` the engine runs them as one pool task
-/// per class (DESIGN.md §2.3). It does so only when the pool has more than
-/// one thread, the caller is not one of its workers and the backend is
-/// replayable; otherwise the same code runs the classes in order. Results
-/// are bit-identical either way.
+/// class's state, so with a `pool` the engine runs them as pool tasks
+/// (DESIGN.md §2.3): one per class, or on the materialized path a
+/// moments task per class and one per (class, bank) for the training feed
+/// and a producer and a classifier per class for the test capture. It
+/// does so only when the pool has more than one thread, the caller is not
+/// one of its workers and the backend is replayable; otherwise the same
+/// tasks run inline, in order. Results are bit-identical either way.
 class ExperimentEngine {
  public:
   /// Engine over the default simulated backend.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -177,13 +178,17 @@ namespace {
 /// A value in [0, 1]; false for NaN.
 bool is_fraction(double x) { return x >= 0.0 && x <= 1.0; }
 
+/// A bandwidth or a delay: finite and >= 0.
+bool is_finite_cost(double x) { return std::isfinite(x) && x >= 0.0; }
+
 // Validate one chunk against the (executed_flows, grain) partition and the
 // header's axis; `chunk_id` must be the partition slot its first_flow
 // implies. A sampled campaign partitions the m executed slots, not the
 // deployed M. The value checks are the ones finalize and the result JSON
 // rely on: rates and dummy fractions the quantile sketches, means and
-// concentration bounds can fold, and kept results whose top point carries
-// a primary feature.
+// concentration bounds can fold, the bandwidths and delays its means and
+// worst case fold, CPD thresholds its mean folds, and kept results whose
+// top point carries a primary feature.
 void validate_chunk(const PopulationShard& header, std::size_t chunk_id,
                     const ChunkAggregate& chunk) {
   const std::size_t executed = header.executed_flows();
@@ -213,6 +218,15 @@ void validate_chunk(const PopulationShard& header, std::size_t chunk_id,
       throw std::invalid_argument(
           "shard_io: chunk dummy fraction outside [0, 1]");
     }
+    for (const auto& [value, name] :
+         {std::pair{overhead.padding_bps, "padding_bps"},
+          std::pair{overhead.wire_bps, "wire_bps"},
+          std::pair{overhead.delay_p95, "delay_p95"}}) {
+      if (!is_finite_cost(value)) {
+        throw std::invalid_argument(std::string("shard_io: chunk overhead ") +
+                                    name + " is not finite and >= 0");
+      }
+    }
   }
   if (chunk.cpd.size() != chunk.cpd_kinds.size()) {
     throw std::invalid_argument("shard_io: chunk cpd rows do not match cpd_kinds");
@@ -220,6 +234,13 @@ void validate_chunk(const PopulationShard& header, std::size_t chunk_id,
   for (const auto& row : chunk.cpd) {
     if (row.size() != chunk.flow_count()) {
       throw std::invalid_argument("shard_io: chunk cpd row size mismatch");
+    }
+    // h = +inf is a detector that never alarms (CpdConfig accepts it).
+    for (const FlowCpd& flow : row) {
+      if (!(flow.threshold >= 0.0)) {
+        throw std::invalid_argument(
+            "shard_io: chunk cpd threshold is NaN or negative");
+      }
     }
   }
   if (!chunk.per_flow.empty() && chunk.per_flow.size() != chunk.flow_count()) {

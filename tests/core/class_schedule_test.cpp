@@ -1,13 +1,19 @@
-// Schedule wall for ExperimentEngine's per-class pool tasks: a result is
-// the same bits with no pool and with pools of 1, 2 and
-// hardware_concurrency threads, on every path the class loops take (the
-// materialized Δh prepass of a multi-point axis, the streamed prepass of a
-// single point, CUSUM / EDF extra detectors, three classes, a
-// payload-reactive policy). A live-like (non-replayable) backend keeps
+// Schedule wall for ExperimentEngine's pool tasks: a result is the same
+// bits with no pool and with pools of 1, 2, 3, 4 and hardware_concurrency
+// threads, on every path the class loops take (the materialized Δh
+// prepass of a multi-point axis, the streamed prepass of a single point,
+// CUSUM / EDF extra detectors, three classes, a payload-reactive policy).
+// On the materialized path each class's test capture is simulated by one
+// task and classified by another as it grows, so the wall also covers a
+// classifier that waits on a slow producer, a test capture longer than
+// the training capture, a producer that throws mid-stream, a backend that
+// runs out mid-stream and one that appends more than it was asked for. A
+// live-like (non-replayable) backend keeps
 // every open on the calling thread in class order, a nested call runs
 // inline, and an error in one class task reaches the caller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -24,6 +30,7 @@
 #include "core/experiment.hpp"
 #include "core/piat_source.hpp"
 #include "core/scenarios.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace linkpad::core {
@@ -181,14 +188,23 @@ struct OpenRecord {
 };
 
 /// The simulated backend, recording every open and optionally sleeping in
-/// class 0's collects or throwing on class 1's opens. `replayable` is what
-/// the engine sees.
+/// class 0's collects, throwing on class 1's opens, failing class 1's test
+/// stream mid-capture, over-filling class 1's test collects, or ending
+/// every test stream early. `replayable` is what the engine sees.
 class ProbeBackend final : public ExperimentBackend {
  public:
   struct Options {
     bool replayable = true;
     bool slow_class_zero = false;
     bool throw_on_class_one = false;
+    /// When > 0, class 1's test stream (salt 2) throws from the collect
+    /// after this many.
+    std::size_t fail_class_one_test_after = 0;
+    /// Class 1's test stream (salt 2) appends one PIAT more than each
+    /// collect asks for.
+    bool overfill_class_one_test = false;
+    /// When > 0, every test stream (salt 2) ends after this many PIATs.
+    std::size_t test_piats = 0;
   };
 
   explicit ProbeBackend(Options options) : options_(options) {}
@@ -234,6 +250,61 @@ class ProbeBackend final : public ExperimentBackend {
     std::unique_ptr<PiatSource> inner_;
   };
 
+  /// Throws from the collect after `good_collects`, and lingers in its
+  /// destructor: a classifier woken by the failure has time to raise an
+  /// error of its own before the producer's error is recorded.
+  class FailingSource final : public PiatSource {
+   public:
+    FailingSource(std::unique_ptr<PiatSource> inner, std::size_t good_collects)
+        : inner_(std::move(inner)), left_(good_collects) {}
+    ~FailingSource() override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    std::size_t collect(std::size_t count, std::vector<double>& out) override {
+      if (left_ == 0) {
+        throw std::runtime_error("probe: class 1 test stream failed");
+      }
+      --left_;
+      return inner_->collect(count, out);
+    }
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+   private:
+    std::unique_ptr<PiatSource> inner_;
+    std::size_t left_;
+  };
+
+  /// Appends one PIAT more than asked, against PiatSource's contract.
+  class OverfillingSource final : public PiatSource {
+   public:
+    explicit OverfillingSource(std::unique_ptr<PiatSource> inner)
+        : inner_(std::move(inner)) {}
+    std::size_t collect(std::size_t count, std::vector<double>& out) override {
+      return inner_->collect(count + 1, out);
+    }
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+   private:
+    std::unique_ptr<PiatSource> inner_;
+  };
+
+  /// Ends after `piats` PIATs, as a finite capture does.
+  class FiniteSource final : public PiatSource {
+   public:
+    FiniteSource(std::unique_ptr<PiatSource> inner, std::size_t piats)
+        : inner_(std::move(inner)), left_(piats) {}
+    std::size_t collect(std::size_t count, std::vector<double>& out) override {
+      const std::size_t got = inner_->collect(std::min(count, left_), out);
+      left_ -= got;
+      return got;
+    }
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+   private:
+    std::unique_ptr<PiatSource> inner_;
+    std::size_t left_;
+  };
+
   std::unique_ptr<PiatSource> wrap(std::unique_ptr<PiatSource> source,
                                    std::size_t class_index,
                                    std::uint64_t salt) const {
@@ -243,6 +314,18 @@ class ProbeBackend final : public ExperimentBackend {
     }
     if (options_.throw_on_class_one && class_index == 1) {
       throw std::runtime_error("probe: class 1 capture failed");
+    }
+    if (salt == 2 && options_.fail_class_one_test_after > 0 &&
+        class_index == 1) {
+      return std::make_unique<FailingSource>(
+          std::move(source), options_.fail_class_one_test_after);
+    }
+    if (salt == 2 && options_.overfill_class_one_test && class_index == 1) {
+      return std::make_unique<OverfillingSource>(std::move(source));
+    }
+    if (salt == 2 && options_.test_piats > 0) {
+      return std::make_unique<FiniteSource>(std::move(source),
+                                            options_.test_piats);
     }
     if (options_.slow_class_zero && class_index == 0) {
       return std::make_unique<SlowSource>(std::move(source));
@@ -262,17 +345,52 @@ std::vector<std::tuple<std::size_t, std::uint64_t>> keys(
   return out;
 }
 
-/// `spec` with no pool, then on pools of 1, 2 and hardware_concurrency
-/// threads: every result must be the no-pool result's bits.
+/// `spec` with no pool, then on pools of 1, 2, 3, 4 and
+/// hardware_concurrency threads, all pulling batches of `batch_piats`:
+/// every result must be the no-pool result's bits. On a two-class test
+/// phase a pool of 2 runs the producers side by side and then the
+/// classifiers, and 3 and 4 run a classifier beside its producer.
 void expect_schedule_free(const ExperimentSpec& spec,
-                          const ExperimentBackend& backend = sim_backend()) {
-  const auto reference = words(ExperimentEngine(backend).run(spec));
+                          const ExperimentBackend& backend = sim_backend(),
+                          std::size_t batch_piats = 8192) {
+  const auto reference =
+      words(ExperimentEngine(backend, batch_piats).run(spec));
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{0}}) {
+    util::ThreadPool pool(threads);
+    SCOPED_TRACE("pool of " + std::to_string(pool.thread_count()));
+    EXPECT_EQ(words(ExperimentEngine(backend, batch_piats, &pool).run(spec)),
+              reference);
+  }
+}
+
+/// Runs `spec` on `backend` with no pool and on pools of 1, 2, 3, 4 and
+/// hardware_concurrency threads; each run must throw an `Error` whose
+/// message contains `expected`, and nothing else.
+template <typename Error>
+void expect_error_on_every_schedule(const ExperimentSpec& spec,
+                                    const ExperimentBackend& backend,
+                                    std::size_t batch_piats,
+                                    const std::string& expected) {
+  auto expect_error = [&](util::ThreadPool* pool) {
+    try {
+      (void)ExperimentEngine(backend, batch_piats, pool).run(spec);
+      ADD_FAILURE() << "expected an error containing '" << expected << "'";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+          << error.what();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "another error reached the caller: " << error.what();
+    }
+  };
+  expect_error(nullptr);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4},
                                     std::size_t{0}}) {
     util::ThreadPool pool(threads);
     SCOPED_TRACE("pool of " + std::to_string(pool.thread_count()));
-    EXPECT_EQ(words(ExperimentEngine(backend, 8192, &pool).run(spec)),
-              reference);
+    expect_error(&pool);
   }
 }
 
@@ -388,6 +506,55 @@ TEST(ClassSchedule, AClassTaskErrorReachesTheCaller) {
       }
     }
   }
+}
+
+TEST(ClassSchedule, ClassifierWaitingOnASlowProducerIsBitIdentical) {
+  // Class 0's collects sleep, so its classifier outruns its producer and
+  // waits on each published batch.
+  const ProbeBackend slow({.slow_class_zero = true});
+  expect_schedule_free(fig4b_axis_spec(), slow);
+}
+
+TEST(ClassSchedule, TestCaptureLongerThanTrainingIsBitIdentical) {
+  // The storage holds the training capture first; the longer test capture
+  // grows it on the caller before the producers start.
+  ExperimentSpec spec = fig4b_axis_spec();
+  spec.plan.train_windows = 3;
+  spec.plan.test_windows = 8;
+  spec.max_windows_per_point = 16;
+  const auto result = ExperimentEngine().run(spec);
+  ASSERT_GT(result.top().test_windows, result.top().train_windows);
+  expect_schedule_free(spec);
+  // Many small batches: many publishes while the classifier reads.
+  expect_schedule_free(spec, sim_backend(), 1000);
+}
+
+TEST(ClassSchedule, ATestStreamErrorMidCaptureReachesTheCaller) {
+  // Class 1's producer throws after three batches, while its classifier
+  // is feeding or waiting; the backend's own error must reach the caller,
+  // not an error of the woken classifier, and nothing may hang.
+  const ProbeBackend failing({.fail_class_one_test_after = 3});
+  expect_error_on_every_schedule<std::runtime_error>(
+      fig4b_axis_spec(), failing, 1000, "probe: class 1 test stream failed");
+}
+
+TEST(ClassSchedule, ATestStreamThatRunsOutFailsByName) {
+  // Every test stream ends after 2000 PIATs, short of the top point's
+  // first 3000-PIAT window: the engine's postcondition names the short
+  // count, and no classifier waits on a producer that ran dry.
+  const ProbeBackend finite({.test_piats = 2000});
+  expect_error_on_every_schedule<ContractViolation>(
+      fig4b_axis_spec(), finite, 1000, "std::min(got, p.test_limit) >= p.n");
+}
+
+TEST(ClassSchedule, ATestCollectPastItsRequestFailsByName) {
+  // Class 1's first test collect appends 1001 PIATs where 1000 were asked
+  // for. Its producer must fail by name before it publishes that count,
+  // so the storage is never read past what the engine asked for.
+  const ProbeBackend overfilling({.overfill_class_one_test = true});
+  expect_error_on_every_schedule<ContractViolation>(
+      fig4b_axis_spec(), overfilling, 1000,
+      "got <= want && capture.data() == base");
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -231,14 +232,26 @@ double random_fraction(util::Rng& rng) {
   return rng.uniform01();
 }
 
+/// A flow's bandwidth or delay: parse refuses anything but a finite value
+/// >= 0, so zero (−0 included) and the smallest magnitudes are the edges
+/// worth seasoning with.
+double random_cost(util::Rng& rng) {
+  const double roll = rng.uniform01();
+  if (roll < 0.05) return 0.0;
+  if (roll < 0.09) return -0.0;
+  if (roll < 0.13) return std::numeric_limits<double>::denorm_min();
+  if (roll < 0.17) return rng.uniform01() * 1e-300;
+  return rng.uniform(0.0, 1e6);
+}
+
 FlowOverhead random_flow_overhead(util::Rng& rng) {
   FlowOverhead o;
   o.has_cost = rng.uniform01() < 0.8;
-  o.padding_bps = random_double(rng);
-  o.wire_bps = random_double(rng);
+  o.padding_bps = random_cost(rng);
+  o.wire_bps = random_cost(rng);
   o.dummy_fraction = random_fraction(rng);
   o.has_delay = rng.uniform01() < 0.8;
-  o.delay_p95 = random_double(rng);
+  o.delay_p95 = random_cost(rng);
   return o;
 }
 
@@ -247,7 +260,11 @@ FlowCpd random_flow_cpd(util::Rng& rng) {
   c.detected = rng.uniform01() < 0.5;
   c.n_at_detection = static_cast<std::size_t>(rng.uniform(0.0, 1e5));
   c.false_alarms = static_cast<std::size_t>(rng.uniform(0.0, 20.0));
-  c.threshold = random_double(rng);
+  // A threshold is a cost that may also be +inf: a detector that never
+  // alarms.
+  c.threshold = rng.uniform01() < 0.05
+                    ? std::numeric_limits<double>::infinity()
+                    : random_cost(rng);
   return c;
 }
 
@@ -561,8 +578,8 @@ TEST(ShardBytes, SeededCorpusDigestIsPinned) {
     util::Rng rng(9000 + seed);
     corpus += serialize_shard(random_shard(rng));
   }
-  EXPECT_EQ(corpus.size(), 821514u);
-  EXPECT_EQ(fnv1a(corpus), 0xcac328c5bc7ac27bULL);
+  EXPECT_EQ(corpus.size(), 840332u);
+  EXPECT_EQ(fnv1a(corpus), 0x45c4000d699a4b4fULL);
 }
 
 // ------------------------------------------------- N-shard bit-identity
@@ -948,6 +965,70 @@ TEST(ShardParse, ValuesFinalizeCannotFoldAreNamedErrors) {
   }
 }
 
+TEST(ShardParse, NonFiniteOverheadAndCpdValuesAreNamedErrors) {
+  // The merge probes: a real sampled campaign's shard 1, one value of its
+  // first chunk crafted. Unchecked, +inf padding merged into an infinite
+  // mean_padding_bps and worst_delay_p95's fold skipped a NaN delay.
+  auto spec = shard_spec(40, 12);
+  spec.sample_flows = 6;
+  spec.sample_round = 2;
+  spec.keep_per_flow = false;
+  classify::DetectorSpec cusum;
+  cusum.cpd.emplace();
+  spec.experiment.plan.detectors = {cusum};
+  SweepOptions options;
+  options.threads = 1;
+  options.grain = 2;
+  options.shard_count = 2;
+  std::vector<PopulationShard> shards;
+  for (const std::size_t index : {std::size_t{0}, std::size_t{1}}) {
+    options.shard_index = index;
+    shards.push_back(run_population_shard(spec, sim_backend(), options));
+  }
+  const std::string text = serialize_shard(shards[1]);
+  (void)population_result_json(merge_shards({shards[0], parse_shard(text)}));
+
+  const auto craft = [&](const std::string& key, std::string_view bits) {
+    const std::string field = "\"" + key + "\":\"";
+    const std::size_t at = text.find(field, text.find('\n'));
+    EXPECT_NE(at, std::string::npos) << key;
+    std::string crafted = text;
+    crafted.replace(at + field.size(), 16, bits);
+    return crafted;
+  };
+  for (const auto& [key, bits, named] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"padding_bps", "7ff0000000000000", "padding_bps"},
+           {"padding_bps", "bff0000000000000", "padding_bps"},
+           {"wire_bps", "fff0000000000000", "wire_bps"},
+           {"wire_bps", "7ff8000000000000", "wire_bps"},
+           {"delay_p95", "7ff8000000000000", "delay_p95"},
+           {"delay_p95", "7ff0000000000000", "delay_p95"},
+           {"threshold", "7ff8000000000000", "cpd threshold"},
+           {"threshold", "c024000000000000", "cpd threshold"},
+       }) {
+    try {
+      (void)parse_shard(craft(key, bits));
+      ADD_FAILURE() << "expected std::invalid_argument for " << key << " "
+                    << bits;
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("shard_io: "), std::string::npos)
+          << err.what();
+      EXPECT_NE(std::string(err.what()).find(named), std::string::npos)
+          << err.what();
+    }
+  }
+  // Zero (−0 included) is a cost, and +inf a threshold: a detector that
+  // never alarms.
+  for (const auto& [key, bits] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"padding_bps", "8000000000000000"},
+           {"delay_p95", "0000000000000000"},
+           {"threshold", "7ff0000000000000"}}) {
+    EXPECT_NO_THROW((void)parse_shard(craft(key, bits))) << key << " " << bits;
+  }
+}
+
 // ----------------------------------------------------------- mutation fuzz
 
 /// Real shard text: the golden, then shard 1 of 2 of an exhaustive
@@ -1040,12 +1121,31 @@ std::string mutate(const std::vector<std::string>& sources, util::Rng& rng) {
   return text;
 }
 
+/// The result fields that fold per-flow overheads and CPD thresholds hold
+/// what parse admits: finite costs, and thresholds that are not NaN (+inf
+/// is a detector that never alarms).
+void expect_foldable(const PopulationResult& result, int variant) {
+  for (const auto& [value, name] :
+       {std::pair{result.mean_padding_bps, "mean_padding_bps"},
+        std::pair{result.mean_wire_bps, "mean_wire_bps"},
+        std::pair{result.worst_delay_p95, "worst_delay_p95"}}) {
+    if (value) {
+      EXPECT_TRUE(std::isfinite(*value))
+          << "variant " << variant << " " << name << " = " << *value;
+    }
+  }
+  for (const auto& point : result.cpd) {
+    EXPECT_GE(point.mean_threshold, 0.0) << "variant " << variant;
+  }
+}
+
 TEST(ShardFuzz, MutatedShardsParseOrFailByName) {
   // Shard files cross machines, so every byte sequence must either parse
   // or throw std::invalid_argument — never crash, hang or raise anything
   // else — with and without a tolerated tail. What parses re-serializes
   // to a fixed point, and merged beside each real campaign's other shard
-  // it either renders as result JSON or is refused by name too.
+  // it either renders as result JSON, with finite overhead folds, or is
+  // refused by name too.
   std::vector<PopulationShard> siblings;
   const auto sources = fuzz_sources(&siblings);
   util::Rng rng(20030324);
@@ -1063,7 +1163,9 @@ TEST(ShardFuzz, MutatedShardsParseOrFailByName) {
         ++parsed;
         for (const PopulationShard& sibling : siblings) {
           try {
-            (void)population_result_json(merge_shards({sibling, shard}));
+            const PopulationResult result = merge_shards({sibling, shard});
+            (void)population_result_json(result);
+            expect_foldable(result, variant);
             ++merged;
           } catch (const std::invalid_argument&) {
           } catch (const std::exception& err) {
